@@ -19,6 +19,15 @@ same state as inserting w consecutive unit-weight copies of the same point
 (identical feature multiset; weights match exactly, sums up to float
 roundoff). The closed-form insertion bound below and the rebuild timing
 are both arranged to preserve that equivalence.
+
+``BicoEngine.grow`` raises the engine's dimension by appending zero
+coordinates to every point it holds: references, linear sums, buffered
+bootstrap points and the threshold sample. Norms and inner products are
+unchanged, so the engine goes on as if every point so far had arrived
+zero-padded. The pipelines use it to run an engine in the coordinates of a
+growing orthonormal basis of its inputs' span: new basis vectors are
+orthogonal to the old ones, so the points already absorbed have zero
+coordinates along them.
 """
 
 import math
@@ -259,6 +268,27 @@ class BicoEngine:
             return len(self._distinct)
         return self._num_features
 
+    def grow(self, dim: int) -> None:
+        """Append ``dim - self.dim`` zero coordinates to every point held.
+
+        Exact: weights, squared sums, norms and the threshold are unchanged.
+        Buffered bootstrap points get their location keys recomputed from the
+        padded bytes. Shrinking is refused.
+        """
+        if dim < self._dim:
+            raise ValueError(f"cannot grow dimension {self._dim} down to {dim}")
+        if dim == self._dim:
+            return
+        self._dim = dim
+        if self._roots is None:
+            for entry in self._pending:
+                entry[0] = _padded(entry[0], dim)
+                entry[2] = entry[0].tobytes()
+            self._sample = [_padded(x, dim) for x in self._sample]
+            self._distinct = {entry[2] for entry in self._pending}
+        else:
+            _grow_group(self._roots, dim)
+
     # -- ingestion ---------------------------------------------------------
 
     def insert(self, point, weight: int = 1) -> None:
@@ -461,6 +491,25 @@ def _collect(group: _Group, out: list) -> None:
         if node.children is not None:
             _collect(node.children, out)
             node.children = None
+
+
+def _padded(x: np.ndarray, dim: int) -> np.ndarray:
+    out = np.zeros(dim)
+    out[:x.shape[0]] = x
+    return out
+
+
+def _grow_group(group: _Group, dim: int) -> None:
+    refs = np.zeros((group.refs.shape[0], dim))
+    refs[:, :group.refs.shape[1]] = group.refs
+    group.refs = refs
+    group.ckey = None
+    for node in group.nodes:
+        node.linear_sum = _padded(node.linear_sum, dim)
+        node.reference = _padded(node.reference, dim)
+        node.dkey = None
+        if node.children is not None:
+            _grow_group(node.children, dim)
 
 
 def _aggregate_pending(pending):

@@ -157,26 +157,35 @@ def evaluate_cost(centers, point_stream, chunk: int = 8192) -> float:
 def evaluate_cost_multi(center_sets, point_stream, chunk: int = 8192) -> list:
     """Streaming SSE of the same stream against several center sets at once.
 
-    One pass covers all sets; returns one cost per set, in order.
+    One pass covers all sets; returns one cost per set, in order. Points
+    are copied into one reused (chunk, d) buffer, so no read block is kept
+    alive past its rows; a point whose shape is not (d,) is rejected.
     """
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
     bounds = np.cumsum([0] + [c.shape[0] for c in sets])
     totals = np.zeros(len(sets))
+    dim = stacked.shape[1]
 
     def _flush(rows):
-        d2 = sq_distances(np.stack(rows), stacked)
+        d2 = sq_distances(rows, stacked)
         for i in range(len(sets)):
             totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()
 
-    buf = []
+    buf = np.empty((chunk, dim))
+    fill = 0
     for x in point_stream:
-        buf.append(np.asarray(x, dtype=np.float64))
-        if len(buf) == chunk:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (dim,):
+            raise ValueError(f"point of shape {x.shape} does not match centers "
+                             f"of dimension {dim}")
+        buf[fill] = x
+        fill += 1
+        if fill == chunk:
             _flush(buf)
-            buf = []
-    if buf:
-        _flush(buf)
+            fill = 0
+    if fill:
+        _flush(buf[:fill])
     return [float(t) for t in totals]
 
 

@@ -206,11 +206,14 @@ def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     return Projector(_fix_signs(vectors), _clip_small(sigma))
 
 
-def project(a, projector: Projector) -> np.ndarray:
+def project(a, projector: Projector, basis: np.ndarray | None = None) -> np.ndarray:
     """Project rows of ``a`` onto the subspace: returns A V V^T.
 
     The output keeps the ambient dimension; only the intrinsic dimension
-    drops to the projector's rank.
+    drops to the projector's rank. With ``basis``, a (d, m) matrix with
+    orthonormal columns whose span contains the subspace, the result is the
+    projected rows' coordinates in that basis, (A V)(V^T Q) = (A V V^T) Q,
+    computed without forming the d-dimensional rows.
     """
     mat = as_matrix(a)
     v = projector.vectors
@@ -218,7 +221,13 @@ def project(a, projector: Projector) -> np.ndarray:
         raise ValueError(
             f"matrix has {mat.shape[1]} columns but the projector expects {v.shape[0]}"
         )
-    return (mat @ v) @ v.T
+    if basis is None:
+        return (mat @ v) @ v.T
+    if basis.shape[0] != v.shape[0]:
+        raise ValueError(
+            f"basis has {basis.shape[0]} rows but the projector expects {v.shape[0]}"
+        )
+    return (mat @ v) @ (v.T @ basis)
 
 
 def reconstruction_error(a, projector: Projector) -> float:

@@ -7,6 +7,15 @@ weight-aware decomposition, and fed to the level-1 engine; the same rule
 repeats up the tree, so each level shrinks the point count by a factor of
 ``num_pieces``. Only one engine per level is live and at most one
 projector exists at any time.
+
+Each level's engine keeps its points in span coordinates (``SpanEngine``):
+it works in an orthonormal basis of the span of the projector bases it has
+received, and its summary is mapped back to the ambient dimension once, when
+it is extracted for the next level's reduction. An engine receives at most
+``num_pieces`` batches of rank ``svd_dim`` before it is flushed, so the bound
+that keeps the intrinsic dimension entering any single engine bounded on
+arbitrarily long streams now also bounds the engine's working dimension:
+at most ``num_pieces * svd_dim`` coordinates, whatever d is.
 """
 
 import time
@@ -14,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coreset import BicoEngine, Coreset
+from .coreset import Coreset
 from .linalg import SvdTruncation, project, weighted_best_fit
-from .pipeline import DEFAULT_CORESET_FACTOR, default_svd_dim, iter_pieces
+from .pipeline import DEFAULT_CORESET_FACTOR, SpanEngine, default_svd_dim, iter_pieces
 from .util import MASK64, mix_seed
 
 
@@ -92,38 +101,40 @@ class MergeReduceTree:
             self._levels.append(_Slot())
         return self._levels[level]
 
-    def _engine(self, level: int) -> BicoEngine:
+    def _engine(self, level: int) -> SpanEngine:
         slot = self._slot(level)
         if slot.engine is None:
-            slot.engine = BicoEngine(self._dim, self._cfg.coreset_size)
+            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size, self._cfg.svd_dim)
             self._live_engines += 1
             self.stats.peak_live_engines = max(self.stats.peak_live_engines,
                                                self._live_engines)
         return slot.engine
 
-    def _reduce(self, points: np.ndarray, weights, seed: int) -> np.ndarray:
-        """Project onto the weighted best-fit subspace; weights unchanged.
+    def _feed(self, level: int, points: np.ndarray, weights, seed: int) -> None:
+        """Project onto the weighted best-fit subspace and insert into one
+        level's engine; unit weights when ``weights`` is None.
 
-        Skipped when the block has fewer rows than the target rank (vacuous)
-        or when the rank reaches the ambient dimension.
+        Projection is skipped when the block has fewer rows than the target
+        rank (vacuous) or when the rank reaches the ambient dimension.
         """
         cfg = self._cfg
+        span = self._engine(level)
         rows = points.shape[0]
         ell = cfg.svd_dim
         if ell >= self._dim or rows < ell:
-            return points
-        oversample = min(cfg.oversample, min(rows, self._dim) - ell)
-        trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
-        if weights is None:
-            weights = np.ones(rows, dtype=np.int64)
-        t0 = time.perf_counter()
-        self.stats.peak_live_projectors = max(self.stats.peak_live_projectors, 1)
-        projector = weighted_best_fit(points, weights, trunc)
-        reduced = project(points, projector)
-        del projector
-        self.stats.svd_seconds += time.perf_counter() - t0
-        self.stats.svd_calls += 1
-        return reduced
+            coords = span.coordinates(points)
+        else:
+            oversample = min(cfg.oversample, min(rows, self._dim) - ell)
+            trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
+            fit_weights = np.ones(rows, dtype=np.int64) if weights is None else weights
+            t0 = time.perf_counter()
+            self.stats.peak_live_projectors = max(self.stats.peak_live_projectors, 1)
+            projector = weighted_best_fit(points, fit_weights, trunc)
+            coords = project(points, projector, span.cover(projector.vectors))
+            del projector
+            self.stats.svd_seconds += time.perf_counter() - t0
+            self.stats.svd_calls += 1
+        span.insert(coords, weights)
 
     def push_piece(self, piece) -> None:
         """Project one piece and feed it to level 0 with unit weights.
@@ -137,11 +148,8 @@ class MergeReduceTree:
             raise ValueError(f"expected a piece of dimension {self._dim}")
         if block.shape[0] > self._cfg.piece_size:
             raise ValueError("piece exceeds the configured piece size")
-        reduced = self._reduce(block, None, (self._cfg.seed ^ self._piece_index) & MASK64)
+        self._feed(0, block, None, (self._cfg.seed ^ self._piece_index) & MASK64)
         self._piece_index += 1
-        engine = self._engine(0)
-        for i in range(reduced.shape[0]):
-            engine.insert(reduced[i])
         slot = self._levels[0]
         slot.batches += 1
         self.stats.pieces += 1
@@ -159,12 +167,8 @@ class MergeReduceTree:
         slot.flushes += 1
         self.stats.flush_sources.append(level)
 
-        reduced = self._reduce(summary.points, summary.weights,
-                               mix_seed(self._cfg.seed, level + 1, slot.flushes))
-        target = self._engine(level + 1)
-        weights = summary.weights
-        for i in range(reduced.shape[0]):
-            target.insert(reduced[i], int(weights[i]))
+        self._feed(level + 1, summary.points, summary.weights,
+                   mix_seed(self._cfg.seed, level + 1, slot.flushes))
         upper = self._levels[level + 1]
         upper.batches += 1
         if upper.batches == self._cfg.num_pieces:

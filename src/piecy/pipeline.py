@@ -6,6 +6,12 @@ intrinsic dimension by projecting onto its randomized best-fit subspace,
 and feeds the projected points into the same kind of engine. Both consume
 the stream exactly once and hold at most one piece, one projector and one
 engine at a time.
+
+Projected points are kept in span coordinates: ``SpanEngine`` runs the
+engine in the coordinates of an orthonormal basis of the span of the
+projector bases (and raw blocks) it has received, at most pieces * svd_dim
+dimensions instead of the ambient d, and maps the extracted coreset back to
+the ambient dimension once.
 """
 
 import time
@@ -19,6 +25,10 @@ from .linalg import SvdTruncation, project, randomized_truncated_svd
 from .util import MASK64
 
 DEFAULT_CORESET_FACTOR = 200
+
+#: A direction whose part outside the current span is below this fraction of
+#: the longest input direction is roundoff, not a new dimension.
+SPAN_TOL = 1e-12
 
 
 def default_svd_dim(k: int) -> int:
@@ -84,6 +94,102 @@ def iter_pieces(points, piece_size: int, dim: int):
         yield buf[:fill]
 
 
+def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of the column span of
+    ``directions`` (d, p) outside that of ``basis`` (d, m, orthonormal).
+
+    Gram-Schmidt twice against ``basis``, then an SVD of the residual keeps
+    the directions above ``SPAN_TOL``; one more pass and a QR restore the
+    orthogonality the SVD's roundoff loses on short residuals.
+    """
+    resid = directions - basis @ (basis.T @ directions)
+    resid -= basis @ (basis.T @ resid)
+    u, sigma, _ = np.linalg.svd(resid, full_matrices=False)
+    scale = float(np.sqrt(np.einsum("ij,ij->j", directions, directions).max(initial=0.0)))
+    new = u[:, sigma > SPAN_TOL * scale]
+    new -= basis @ (basis.T @ new)
+    return np.linalg.qr(new)[0]
+
+
+class SpanEngine:
+    """One summarizer engine run in the coordinates of its inputs' span.
+
+    A pipeline inserts each batch either projected onto a projector's
+    subspace or raw, so the points lie in the span of the projector bases
+    and raw blocks received so far: at most batches * rank dimensions. The
+    engine's decisions depend only on inner products and distances between
+    points, references and linear sums, all inside that span, so it runs in
+    the coordinates of an orthonormal basis Q of the span and makes the same
+    decisions up to roundoff. Q grows by the part of each batch outside it;
+    new columns are orthogonal to the old ones, so the engine grows by zero
+    coordinates exactly (``BicoEngine.grow``). ``extract_coreset`` maps the
+    summary back to the ambient dimension with one product by Q^T.
+
+    With ``rank >= dim`` nothing is projected and the span is the whole
+    space from the first full piece on, so the engine keeps the ambient
+    coordinates and ``basis`` is None.
+    """
+
+    def __init__(self, dim: int, budget: int, rank: int):
+        self._dim = dim
+        self._budget = budget
+        self._basis = None if rank >= dim else np.zeros((dim, 0))
+        # Created by the first cover when running in span coordinates.
+        self.engine = BicoEngine(dim, budget) if self._basis is None else None
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        """Orthonormal (d, dim) basis of the span; None for ambient coordinates."""
+        return self._basis
+
+    @property
+    def dim(self) -> int:
+        """The engine's working dimension."""
+        return 0 if self.engine is None else self.engine.dim
+
+    def cover(self, directions: np.ndarray) -> np.ndarray | None:
+        """Extend the basis so its span contains the columns of ``directions``
+        (d, p), grow the engine to match, and return the basis."""
+        basis = self._basis
+        if basis is None or basis.shape[1] == self._dim:
+            return basis
+        new = span_complement(basis, directions)
+        if new.shape[1] == 0 and self.engine is None:
+            # An all-zero first block spans nothing; the engine needs a coordinate.
+            new = np.eye(self._dim, 1)
+        if new.shape[1]:
+            basis = self._basis = np.hstack([basis, new])
+            if self.engine is None:
+                self.engine = BicoEngine(basis.shape[1], self._budget)
+            else:
+                self.engine.grow(basis.shape[1])
+        return basis
+
+    def coordinates(self, rows: np.ndarray) -> np.ndarray:
+        """Coordinates of unprojected rows, after covering their row space."""
+        basis = self.cover(rows.T)
+        return rows if basis is None else rows @ basis
+
+    def insert(self, coords: np.ndarray, weights=None) -> None:
+        """Insert rows given in span coordinates, with unit or given weights."""
+        engine = self.engine
+        if weights is None:
+            for i in range(coords.shape[0]):
+                engine.insert(coords[i])
+        else:
+            for i in range(coords.shape[0]):
+                engine.insert(coords[i], int(weights[i]))
+
+    def extract_coreset(self) -> Coreset:
+        """The engine's coreset, in the ambient dimension."""
+        if self.engine is None:
+            return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
+        coreset = self.engine.extract_coreset()
+        if self._basis is None:
+            return coreset
+        return Coreset(coreset.points @ self._basis.T, coreset.weights)
+
+
 def run_bico(points, dim: int, coreset_size: int,
              stats: PipelineStats | None = None) -> Coreset:
     """One pass of the plain summarizer over unit-weight points."""
@@ -112,31 +218,31 @@ def run_piecy(points, dim: int, cfg: PiecyConfig,
     """
     if cfg.svd_dim > dim:
         raise ValueError(f"svd_dim {cfg.svd_dim} exceeds point dimension {dim}")
-    engine = BicoEngine(dim, cfg.coreset_size)
     ell = cfg.svd_dim
+    span = SpanEngine(dim, cfg.coreset_size, ell)
     for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
         rows = piece.shape[0]
-        block = piece
         if ell < dim and rows >= ell:
             oversample = min(cfg.oversample, min(rows, dim) - ell)
             trunc = SvdTruncation(ell, oversample, cfg.power_iterations,
                                   seed=(cfg.seed ^ index) & MASK64)
             t0 = time.perf_counter()
             projector = randomized_truncated_svd(piece, trunc)
-            block = project(piece, projector)
+            coords = project(piece, projector, span.cover(projector.vectors))
             if stats is not None:
                 stats.svd_seconds += time.perf_counter() - t0
                 stats.svd_calls += 1
                 stats.peak_live_projectors = max(stats.peak_live_projectors, 1)
             del projector
+        else:
+            coords = span.coordinates(piece)
         t0 = time.perf_counter()
-        for i in range(rows):
-            engine.insert(block[i])
+        span.insert(coords)
         if stats is not None:
             stats.insert_seconds += time.perf_counter() - t0
             stats.points_read += rows
             stats.pieces += 1
-    return engine.extract_coreset()
+    return span.extract_coreset()
 
 
 def coreset_cost_report(coreset: Coreset, k: int, reps: int = 5, seed: int = 0,

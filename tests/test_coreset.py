@@ -277,3 +277,77 @@ class TestEngineAgainstBruteCost:
         total = sum(cf.cost_to(center) for _, cf in engine.features())
         brute = brute_weighted_sse(pts, np.ones(30), center)
         assert total == pytest.approx(brute, rel=1e-10)
+
+
+class TestGrow:
+    """An engine grown mid-stream must match one that saw every point
+    zero-padded from the start."""
+
+    @staticmethod
+    def grown_and_padded(early, late, budget):
+        small, large = early.shape[1], late.shape[1]
+        grown = BicoEngine(small, budget)
+        padded = BicoEngine(large, budget)
+        for x in early:
+            grown.insert(x)
+            padded.insert(np.concatenate([x, np.zeros(large - small)]))
+        state = (grown._roots is not None, grown.threshold)
+        grown.grow(large)
+        assert grown.dim == large
+        for x in late:
+            grown.insert(x)
+            padded.insert(x)
+        assert grown.total_weight == padded.total_weight
+        assert grown.threshold == padded.threshold
+        assert_same_features(grown, padded, rtol=1e-12)
+        return state
+
+    def first_threshold(self, points, budget):
+        engine = BicoEngine(points.shape[1], budget)
+        for x in points:
+            engine.insert(x)
+            if engine.threshold > 0.0:
+                return engine.threshold
+        raise AssertionError("the engine never built its structure")
+
+    def test_grow_during_bootstrap(self):
+        rng = np.random.default_rng(50)
+        early = rng.normal(size=(20, 3))
+        late = rng.normal(size=(300, 5))
+        built, _ = self.grown_and_padded(early, late, budget=40)
+        assert not built
+
+    def test_grow_after_build_before_rebuild(self):
+        rng = np.random.default_rng(51)
+        early = rng.normal(size=(45, 3))
+        late = rng.normal(size=(300, 6))
+        built, threshold = self.grown_and_padded(early, late, budget=40)
+        assert built
+        assert threshold == self.first_threshold(early, 40)
+
+    def test_grow_after_rebuild(self):
+        rng = np.random.default_rng(52)
+        early = rng.normal(scale=3.0, size=(400, 4))
+        late = rng.normal(scale=3.0, size=(400, 7))
+        built, threshold = self.grown_and_padded(early, late, budget=20)
+        assert built
+        assert threshold > self.first_threshold(early, 20)
+
+    def test_grow_keeps_repeated_bootstrap_locations_merged(self):
+        grown = BicoEngine(2, 10)
+        x = np.array([1.0, -2.0])
+        grown.insert(x, 2)
+        grown.insert(np.array([0.5, 0.5]))
+        grown.grow(3)
+        grown.insert(np.array([1.0, -2.0, 0.0]), 3)
+        coreset = grown.extract_coreset()
+        assert len(coreset) == 2
+        assert sorted(coreset.weights.tolist()) == [1, 5]
+
+    def test_grow_cannot_shrink(self):
+        engine = BicoEngine(4, 10)
+        engine.insert(np.ones(4))
+        with pytest.raises(ValueError):
+            engine.grow(3)
+        engine.grow(4)
+        assert engine.dim == 4

@@ -169,3 +169,37 @@ class TestSummaries:
         a = [c for _, c in kmeans_repetitions(pts, None, 4, reps=3, seed=1)]
         b = [c for _, c in kmeans_repetitions(pts, None, 4, reps=3, seed=2)]
         assert a != b
+
+
+def stacked_cost_multi(center_sets, point_stream, chunk):
+    """The list-and-stack buffering evaluate_cost_multi replaced."""
+    from piecy.evaluation import sq_distances
+    sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
+    stacked = np.vstack(sets)
+    bounds = np.cumsum([0] + [c.shape[0] for c in sets])
+    totals = np.zeros(len(sets))
+    rows = list(point_stream)
+    for start in range(0, len(rows), chunk):
+        d2 = sq_distances(np.stack(rows[start:start + chunk]), stacked)
+        for i in range(len(sets)):
+            totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()
+    return [float(t) for t in totals]
+
+
+class TestCostBuffer:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_bit_identical_to_stacked_chunks(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 6))
+        sets = [rng.normal(size=(4, 6)) for _ in range(3)]
+        got = evaluate_cost_multi(sets, iter(pts), chunk=64)
+        assert got == stacked_cost_multi(sets, iter(pts), chunk=64)
+
+    def test_empty_stream_costs_zero(self):
+        assert evaluate_cost_multi([np.zeros((2, 3))], iter([])) == [0.0]
+
+    @pytest.mark.parametrize("row", [np.ones(1), np.ones(4), np.ones((1, 3)), 1.0])
+    def test_row_of_wrong_shape_rejected(self, row):
+        pts = [np.zeros(3), row, np.zeros(3)]
+        with pytest.raises(ValueError):
+            evaluate_cost_multi([np.zeros((2, 3))], iter(pts), chunk=8)

@@ -157,6 +157,18 @@ class TestProject:
         proj = exact_truncated_svd(np.eye(4), 2)
         with pytest.raises(ValueError):
             project(np.zeros((3, 5)), proj)
+        with pytest.raises(ValueError):
+            project(np.zeros((3, 4)), proj, np.eye(5, 2))
+
+    def test_coordinates_in_a_containing_basis(self):
+        rng = np.random.default_rng(42)
+        a = rng.normal(size=(9, 7))
+        proj = exact_truncated_svd(a, 2)
+        basis, _ = np.linalg.qr(np.hstack([proj.vectors, rng.normal(size=(7, 3))]))
+        coords = project(a, proj, basis)
+        assert coords.shape == (9, 5)
+        assert np.allclose(coords, project(a, proj) @ basis, rtol=0, atol=1e-12)
+        assert np.allclose(coords @ basis.T, project(a, proj), rtol=0, atol=1e-12)
 
 
 class TestWeightedBestFit:

@@ -1,0 +1,232 @@
+"""Span-coordinate engines against the ambient-dimension algorithm.
+
+The references below are the pipelines as they ran before engines moved
+to span coordinates: project each block to d-dimensional rows and insert
+those into a ``BicoEngine(d)``. The span-coordinate pipelines must make the
+same decisions, so weights match exactly and points up to roundoff.
+"""
+
+import numpy as np
+import pytest
+
+from piecy.coreset import BicoEngine
+from piecy.linalg import SvdTruncation, project, randomized_truncated_svd, weighted_best_fit
+from piecy.mergereduce import MrConfig, run_piecy_mr
+from piecy.pipeline import PiecyConfig, SpanEngine, iter_pieces, run_piecy, span_complement
+from piecy.util import MASK64, mix_seed
+
+# Fixed before the comparisons were first run: a few hundred roundoff
+# units of float64 on O(1) coordinates.
+POINT_RTOL = 1e-9
+ORTHO_TOL = 1e-12
+
+
+def reference_piecy(points, dim, cfg):
+    engine = BicoEngine(dim, cfg.coreset_size)
+    ell = cfg.svd_dim
+    for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
+        rows = piece.shape[0]
+        block = piece
+        if ell < dim and rows >= ell:
+            oversample = min(cfg.oversample, min(rows, dim) - ell)
+            trunc = SvdTruncation(ell, oversample, cfg.power_iterations,
+                                  seed=(cfg.seed ^ index) & MASK64)
+            block = project(piece, randomized_truncated_svd(piece, trunc))
+        for i in range(rows):
+            engine.insert(block[i])
+    return engine.extract_coreset()
+
+
+def reference_piecy_mr(points, dim, cfg):
+    levels = []   # per level: [engine or None, batches, flushes]
+    ell = cfg.svd_dim
+
+    def reduce(block, weights, seed):
+        rows = block.shape[0]
+        if ell >= dim or rows < ell:
+            return block
+        oversample = min(cfg.oversample, min(rows, dim) - ell)
+        trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
+        if weights is None:
+            weights = np.ones(rows, dtype=np.int64)
+        return project(block, weighted_best_fit(block, weights, trunc))
+
+    def feed(level, block, weights):
+        while len(levels) <= level:
+            levels.append([None, 0, 0])
+        slot = levels[level]
+        if slot[0] is None:
+            slot[0] = BicoEngine(dim, cfg.coreset_size)
+        for i in range(block.shape[0]):
+            if weights is None:
+                slot[0].insert(block[i])
+            else:
+                slot[0].insert(block[i], int(weights[i]))
+        slot[1] += 1
+        if slot[1] == cfg.num_pieces:
+            flush(level)
+
+    def flush(level):
+        slot = levels[level]
+        summary = slot[0].extract_coreset()
+        slot[0] = None
+        slot[1] = 0
+        slot[2] += 1
+        seed = mix_seed(cfg.seed, level + 1, slot[2])
+        feed(level + 1, reduce(summary.points, summary.weights, seed), summary.weights)
+
+    for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
+        feed(0, reduce(piece, None, (cfg.seed ^ index) & MASK64), None)
+    while True:
+        live = [i for i, s in enumerate(levels) if s[0] is not None]
+        if len(live) <= 1:
+            break
+        flush(live[0])
+    if not live:
+        return BicoEngine(dim, 1).extract_coreset()
+    return levels[live[0]][0].extract_coreset()
+
+
+def assert_same_coreset(got, want):
+    assert np.array_equal(got.weights, want.weights)
+    assert got.points.shape == want.points.shape
+    err = np.linalg.norm(got.points - want.points, axis=1)
+    assert (err <= POINT_RTOL * np.linalg.norm(want.points, axis=1)).all()
+
+
+@pytest.fixture
+def span_log(monkeypatch):
+    """Checks every SpanEngine after each batch: orthonormal basis and a
+    working dimension within min(d, batches * svd_dim). Returns the
+    (working dimension, ambient dimension) of every check."""
+    log = []
+    insert = SpanEngine.insert
+
+    def checked_insert(self, coords, weights=None):
+        insert(self, coords, weights)
+        self.batches_seen = getattr(self, "batches_seen", 0) + 1
+        d, rank = self.test_bounds
+        basis = self.basis
+        if basis is None:
+            assert self.dim == d
+        else:
+            assert basis.shape == (d, self.dim)
+            gram = basis.T @ basis
+            assert np.abs(gram - np.eye(self.dim)).max() <= ORTHO_TOL
+        assert self.dim <= min(d, self.batches_seen * rank)
+        log.append((self.dim, d))
+
+    init = SpanEngine.__init__
+
+    def recording_init(self, dim, budget, rank):
+        init(self, dim, budget, rank)
+        self.test_bounds = (dim, rank)
+
+    monkeypatch.setattr(SpanEngine, "insert", checked_insert)
+    monkeypatch.setattr(SpanEngine, "__init__", recording_init)
+    return log
+
+
+def clustered(rng, n, dim, centers=6):
+    means = rng.normal(scale=6.0, size=(centers, dim))
+    return means[rng.integers(0, centers, size=n)] + rng.normal(size=(n, dim))
+
+
+# (n, d, piece_size, svd_dim): several pieces; a raw tail shorter than the
+# rank; svd_dim == d; more than d / svd_dim pieces, so the span saturates.
+STREAMS = {
+    "several-pieces": (240, 20, 60, 4),
+    "raw-tail": (182, 20, 60, 4),
+    "rank-equals-dim": (150, 6, 50, 6),
+    "saturated": (400, 9, 40, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_piecy_matches_ambient_reference(name, span_log):
+    n, d, piece, ell = STREAMS[name]
+    data = clustered(np.random.default_rng(n + d), n, d)
+    cfg = PiecyConfig(k=3, piece_size=piece, svd_dim=ell, coreset_size=25, seed=5)
+    got = run_piecy(iter(data), d, cfg)
+    assert_same_coreset(got, reference_piecy(iter(data), d, cfg))
+    assert got.total_weight == n
+    assert span_log
+    if name == "saturated":
+        assert span_log[-1] == (d, d)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_piecy_mr_matches_ambient_reference(name, span_log):
+    n, d, piece, ell = STREAMS[name]
+    data = clustered(np.random.default_rng(n * d), n, d)
+    cfg = MrConfig(k=3, piece_size=piece, num_pieces=2, svd_dim=ell,
+                   coreset_size=25, seed=6)
+    got = run_piecy_mr(iter(data), d, cfg)
+    assert_same_coreset(got, reference_piecy_mr(iter(data), d, cfg))
+    assert got.total_weight == n
+
+
+def test_piecy_mr_level_engine_saturates(span_log):
+    d, ell = 9, 2
+    data = clustered(np.random.default_rng(3), 600, d)
+    cfg = MrConfig(k=3, piece_size=30, num_pieces=6, svd_dim=ell,
+                   coreset_size=25, seed=2)
+    got = run_piecy_mr(iter(data), d, cfg)
+    assert_same_coreset(got, reference_piecy_mr(iter(data), d, cfg))
+    assert (d, d) in span_log
+
+
+class TestSpanEngine:
+    def test_rank_at_dimension_runs_in_ambient_coordinates(self):
+        span = SpanEngine(4, 10, 4)
+        assert span.basis is None
+        assert span.dim == 4
+        rows = np.arange(8.0).reshape(2, 4)
+        assert span.coordinates(rows) is rows
+
+    def test_all_zero_first_block_gets_one_coordinate(self):
+        span = SpanEngine(5, 10, 3)
+        span.insert(span.coordinates(np.zeros((2, 5))))
+        assert span.dim == 1
+        coreset = span.extract_coreset()
+        assert coreset.points.shape == (1, 5)
+        assert coreset.weights.tolist() == [2]
+        assert not coreset.points.any()
+
+    def test_empty_engine_extracts_empty_ambient_coreset(self):
+        coreset = SpanEngine(7, 10, 2).extract_coreset()
+        assert coreset.points.shape == (0, 7)
+
+    def test_dependent_directions_add_nothing(self):
+        rng = np.random.default_rng(8)
+        basis, _ = np.linalg.qr(rng.normal(size=(10, 3)))
+        inside = basis @ rng.normal(size=(3, 4))
+        assert span_complement(basis, inside).shape == (10, 0)
+        mixed = np.hstack([inside, rng.normal(size=(10, 2))])
+        new = span_complement(basis, mixed)
+        assert new.shape == (10, 2)
+        assert np.abs(basis.T @ new).max() <= ORTHO_TOL
+        assert np.abs(new.T @ new - np.eye(2)).max() <= ORTHO_TOL
+
+    def test_nearly_dependent_directions_stay_orthogonal(self):
+        # Two residuals 1e-10 apart: the SVD divides their difference by
+        # its singular value, which scales up the roundoff left along the
+        # basis; the basis must stay orthonormal anyway.
+        rng = np.random.default_rng(10)
+        basis, _ = np.linalg.qr(rng.normal(size=(30, 8)))
+        out, _ = np.linalg.qr(rng.normal(size=(30, 2)))
+        out -= basis @ (basis.T @ out)
+        first = basis @ rng.normal(size=8) + out[:, 0]
+        second = basis @ rng.normal(size=8) + out[:, 0] + 1e-10 * out[:, 1]
+        new = span_complement(basis, np.stack([first, second], axis=1))
+        assert new.shape == (30, 2)
+        assert np.abs(basis.T @ new).max() <= ORTHO_TOL
+        assert np.abs(new.T @ new - np.eye(2)).max() <= ORTHO_TOL
+
+    def test_coordinates_round_trip(self):
+        rng = np.random.default_rng(9)
+        span = SpanEngine(12, 50, 3)
+        low = rng.normal(size=(5, 12))
+        coords = span.coordinates(low)
+        assert span.dim == 5
+        assert np.allclose(coords @ span.basis.T, low, rtol=0, atol=1e-12)
