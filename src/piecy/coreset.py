@@ -139,13 +139,14 @@ class _Group:
     repeated copies of one point hit the cache with bit-identical results.
     """
 
-    __slots__ = ("nodes", "refs", "half_norms", "size",
+    __slots__ = ("nodes", "refs", "norms", "size", "work",
                  "ckey", "cj", "cpart")
 
     def __init__(self, dim: int):
         self.nodes = []
         self.refs = np.empty((8, dim))
-        self.half_norms = np.empty(8)  # |ref|^2 / 2
+        self.norms = np.empty(8)
+        self.work = np.empty(8)
         self.size = 0
         self.ckey = None
         self.cj = -1
@@ -155,9 +156,10 @@ class _Group:
         i = self.size
         if i == self.refs.shape[0]:
             self.refs = np.resize(self.refs, (2 * i, self.refs.shape[1]))
-            self.half_norms = np.resize(self.half_norms, 2 * i)
+            self.norms = np.resize(self.norms, 2 * i)
+            self.work = np.empty(2 * i)
         self.refs[i] = node.reference
-        self.half_norms[i] = 0.5 * float(node.reference @ node.reference)
+        self.norms[i] = node.reference @ node.reference
         self.size = i + 1
         self.nodes.append(node)
         self.ckey = None
@@ -165,11 +167,7 @@ class _Group:
     def nearest(self, x: np.ndarray):
         """Index and |ref|^2 - 2*ref.x of the nearest reference (add |x|^2
         for the true squared distance); (-1, inf) when empty. Ties resolve
-        to the lowest insertion index.
-
-        Minimizes |ref|^2/2 - ref.x, which is the same quantity halved: the
-        halving and doubling are exact, so this costs one array operation
-        less than forming |ref|^2 - 2*ref.x."""
+        to the lowest insertion index."""
         n = self.size
         if n == 0:
             return -1, math.inf
@@ -177,12 +175,14 @@ class _Group:
             return self.cj, self.cpart
         if n == 1:
             j = 0
-            part = 2.0 * (float(self.half_norms[0])
-                          - float(self.nodes[0].reference.dot(x)))
+            part = self.norms[0] - 2.0 * float(np.dot(self.refs[0], x))
         else:
-            work = self.half_norms[:n] - self.refs[:n].dot(x)
+            work = self.work[:n]
+            np.dot(self.refs[:n], x, out=work)
+            work *= -2.0
+            work += self.norms[:n]
             j = int(work.argmin())
-            part = 2.0 * float(work[j])
+            part = float(work[j])
         self.ckey = x
         self.cj = j
         self.cpart = part
@@ -212,7 +212,7 @@ class _Node:
     def dot_with(self, x: np.ndarray) -> float:
         if x is self.dkey and self.dweight == self.weight:
             return self.ddot
-        dot = float(self.linear_sum.dot(x))
+        dot = float(np.dot(self.linear_sum, x))
         self.dkey = x
         self.dweight = self.weight
         self.ddot = dot
@@ -245,10 +245,6 @@ class BicoEngine:
         self._sample = []             # first distinct locations, for the threshold
         self._distinct = set()
         self._sample_cap = min(budget + 1, bootstrap_cap)
-        self._resume_key = None       # see _absorb
-        self._resume_group = None
-        self._resume_radius = 0.0
-        self._resume_sq = 0.0
 
     @property
     def dim(self) -> int:
@@ -284,7 +280,6 @@ class BicoEngine:
         if dim == self._dim:
             return
         self._dim = dim
-        self._resume_key = self._resume_group = None
         if self._roots is None:
             for entry in self._pending:
                 entry[0] = _padded(entry[0], dim)
@@ -297,31 +292,23 @@ class BicoEngine:
     # -- ingestion ---------------------------------------------------------
 
     def insert(self, point, weight: int = 1) -> None:
-        """Absorb ``weight`` copies of ``point``.
-
-        The engine keys its caches on the point object, so a point's
-        coordinates must not be changed in place once it has been inserted.
-        """
+        """Absorb ``weight`` copies of ``point``."""
         x = np.asarray(point, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self._dim:
             raise ValueError(f"expected a point of dimension {self._dim}")
         w = int(weight)
         if w < 1:
             raise ValueError("weight must be a positive integer")
-        if x is self._resume_key:  # checked when it last arrived
-            x_sq = self._resume_sq
-        else:
-            x_sq = float(x.dot(x))
-            if not math.isfinite(x_sq):
-                if not np.isfinite(x).all():
-                    raise ValueError("point has non-finite coordinates")
-                raise ValueError("point coordinates overflow")
+        x_sq = float(x @ x)
+        if not math.isfinite(x_sq):
+            if not np.isfinite(x).all():
+                raise ValueError("point has non-finite coordinates")
+            raise ValueError("point coordinates overflow")
         self._total_weight += w
         if self._roots is None:
             self._bootstrap(x, w)
         else:
-            while w > 0:
-                w -= self._absorb(x, x_sq, w)
+            self._insert_live(x, x_sq, w)
 
     def _bootstrap(self, x: np.ndarray, w: int) -> None:
         key = x.tobytes()
@@ -345,9 +332,12 @@ class BicoEngine:
         self._sample = []
         self._distinct = set()
         for x, w, _ in pending:
-            x_sq = float(x.dot(x))
-            while w > 0:
-                w -= self._absorb(x, x_sq, w)
+            self._insert_live(x, float(x @ x), w)
+
+    def _insert_live(self, x: np.ndarray, x_sq: float, w: int) -> None:
+        remaining = w
+        while remaining > 0:
+            remaining -= self._absorb(x, x_sq, remaining)
 
     def _absorb(self, x: np.ndarray, x_sq: float, remaining: int) -> int:
         """One descent from the roots; returns the number of copies placed.
@@ -359,36 +349,19 @@ class BicoEngine:
         streams aligned across rebuilds.
 
         The capacity math below inlines max_insertable_copies.
-
-        A node that takes no copy of ``x`` is saturated for it: its state
-        alone decides that, and only a copy taken there changes that state.
-        The descent therefore remembers where the saturated prefix of its
-        path ends, and the next descent of the same point object (the same
-        identity the group and node caches key on) resumes there, unless a
-        rebuild intervened. The steps skipped would repeat bit-identical
-        cached queries and decisions.
         """
         threshold = self._threshold
-        if x is self._resume_key:
-            group = self._resume_group
-            radius_sq = self._resume_radius
-        else:
-            group = self._roots
-            radius_sq = threshold  # level-1 admission radius^2; quarters per level
-        resume_group = group
-        resume_radius = radius_sq
-        saturated = True  # every node passed so far took nothing
+        group = self._roots
+        radius_sq = threshold  # level-1 admission radius^2; quarters per level
         placed = 0
         while True:
             j, part = group.nearest(x)
             if j < 0 or part + x_sq > radius_sq:
                 if self._num_features < self._budget:
                     self._open(group, x, x_sq, remaining)
-                    self._remember(x, x_sq, resume_group, resume_radius)
                     return placed + remaining
                 self._open(group, x, x_sq, 1)
                 self._rebuild()
-                self._resume_key = self._resume_group = None
                 return placed + 1
             node = group.nodes[j]
             n = node.weight
@@ -412,7 +385,6 @@ class BicoEngine:
                 else:
                     take = 0
             if take > 0:
-                saturated = False
                 node.weight = n + take
                 if take == 1:
                     node.linear_sum += x
@@ -423,22 +395,11 @@ class BicoEngine:
                 placed += take
                 remaining -= take
                 if remaining == 0:
-                    self._remember(x, x_sq, resume_group, resume_radius)
                     return placed
             if node.children is None:
                 node.children = _Group(self._dim)
             group = node.children
             radius_sq *= 0.25
-            if saturated:
-                resume_group = group
-                resume_radius = radius_sq
-
-    def _remember(self, x: np.ndarray, x_sq: float, group: _Group,
-                  radius_sq: float) -> None:
-        self._resume_key = x
-        self._resume_sq = x_sq
-        self._resume_group = group
-        self._resume_radius = radius_sq
 
     def _open(self, group: _Group, x: np.ndarray, x_sq: float, w: int) -> None:
         group.add(_Node(x, w, x_sq, self._next_index))
