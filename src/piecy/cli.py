@@ -232,10 +232,9 @@ def _run_pipeline(args) -> int:
             for point, weight in timed:
                 engine.insert(point, weight)
             coreset = engine.extract_coreset()
-            stats.points_read = timed.count
         else:
             timed = _TimedPoints(source.points())
-            coreset = run_bico(timed, source.dim, coreset_size, stats)
+            coreset = run_bico(timed, source.dim, coreset_size)
     elif algo == "piecy":
         timed = _TimedPoints(source.points())
         cfg = PiecyConfig(k=k, piece_size=piece_size, svd_dim=svd_dim,
@@ -248,10 +247,7 @@ def _run_pipeline(args) -> int:
                        coreset_size=coreset_size, seed=args.seed)
         trees = []
         coreset = run_piecy_mr(timed, source.dim, cfg, tree_out=trees)
-        tree_stats = trees[0].stats
-        stats.svd_calls = tree_stats.svd_calls
-        stats.svd_seconds = tree_stats.svd_seconds
-        stats.points_read = tree_stats.points_read
+        stats = trees[0].stats
     coreset_seconds = time.perf_counter() - coreset_t0 - timed.seconds
 
     n = timed.count

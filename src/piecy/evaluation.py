@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import iter_blocks
 from .util import mix_seed
 
 DEFAULT_REPETITIONS = 5
@@ -158,8 +159,9 @@ def evaluate_cost_multi(center_sets, point_stream, chunk: int = 8192) -> list:
     """Streaming SSE of the same stream against several center sets at once.
 
     One pass covers all sets; returns one cost per set, in order. Points
-    are copied into one reused (chunk, d) buffer, so no read block is kept
-    alive past its rows; a point whose shape is not (d,) is rejected.
+    are copied into one reused (chunk, d) buffer (``streams.iter_blocks``),
+    so no read block is kept alive past its rows; a point whose shape is not
+    (d,) is rejected.
     """
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
@@ -167,25 +169,11 @@ def evaluate_cost_multi(center_sets, point_stream, chunk: int = 8192) -> list:
     totals = np.zeros(len(sets))
     dim = stacked.shape[1]
 
-    def _flush(rows):
+    for rows in iter_blocks(point_stream, chunk, dim):
         d2 = sq_distances(rows, stacked)
         for i in range(len(sets)):
             totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()
-
-    buf = np.empty((chunk, dim))
-    fill = 0
-    for x in point_stream:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (dim,):
-            raise ValueError(f"point of shape {x.shape} does not match centers "
-                             f"of dimension {dim}")
-        buf[fill] = x
-        fill += 1
-        if fill == chunk:
-            _flush(buf)
-            fill = 0
-    if fill:
-        _flush(buf[:fill])
+        del d2  # free it before the next chunk's distances are allocated
     return [float(t) for t in totals]
 
 

@@ -8,6 +8,12 @@ repeats up the tree, so each level shrinks the point count by a factor of
 ``num_pieces``. Only one engine per level is live and at most one
 projector exists at any time.
 
+Every block, stream piece or flushed summary, goes in through
+``SpanEngine.feed``, the same projected-block feed ``run_piecy`` uses, so a
+tree that never flushes reproduces ``run_piecy`` exactly. ``MrConfig`` is
+``PiecyConfig`` plus ``num_pieces``, and ``TreeStats`` is ``PipelineStats``
+plus the flush schedule and the live-engine peak.
+
 Each level's engine keeps its points in span coordinates (``SpanEngine``):
 it works in an orthonormal basis of the span of the projector bases it has
 received, and its summary is mapped back to the ambient dimension once, when
@@ -18,56 +24,36 @@ arbitrarily long streams now also bounds the engine's working dimension:
 at most ``num_pieces * svd_dim`` coordinates, whatever d is.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
 from .coreset import Coreset
-from .linalg import SvdTruncation, project, weighted_best_fit
-from .pipeline import DEFAULT_CORESET_FACTOR, SpanEngine, default_svd_dim, iter_pieces
+from .linalg import project, weighted_best_fit  # unused; bench/tracing.py wraps them here
+from .pipeline import PiecyConfig, PipelineStats, SpanEngine, iter_pieces
 from .util import MASK64, mix_seed
 
 
 @dataclass
-class MrConfig:
-    k: int
-    piece_size: int
+class MrConfig(PiecyConfig):
+    """``PiecyConfig`` plus the number of batches each level takes before
+    it flushes its summary one level up."""
+
+    _: KW_ONLY
     num_pieces: int
-    svd_dim: int | None = None
-    coreset_size: int | None = None
-    oversample: int = 10
-    power_iterations: int = 2
-    seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        super().__post_init__()
         if self.num_pieces < 2:
             raise ValueError("num_pieces must be >= 2")
-        if self.svd_dim is None:
-            self.svd_dim = default_svd_dim(self.k)
-        if self.coreset_size is None:
-            self.coreset_size = DEFAULT_CORESET_FACTOR * self.k
-        if self.svd_dim < 1:
-            raise ValueError("svd_dim must be >= 1")
-        if self.piece_size < self.svd_dim:
-            raise ValueError("piece_size must be >= svd_dim")
-        if self.coreset_size < self.k:
-            raise ValueError("coreset_size must be >= k")
 
 
 @dataclass
-class TreeStats:
-    """Instrumentation: flush schedule and structural peaks."""
+class TreeStats(PipelineStats):
+    """``PipelineStats`` plus the flush schedule and the live-engine peak."""
 
     flush_sources: list = field(default_factory=list)  # level flushed, in order
     peak_live_engines: int = 0
-    peak_live_projectors: int = 0
-    svd_calls: int = 0
-    svd_seconds: float = 0.0
-    points_read: int = 0
-    pieces: int = 0
 
 
 class _Slot:
@@ -110,45 +96,20 @@ class MergeReduceTree:
                                                self._live_engines)
         return slot.engine
 
-    def _feed(self, level: int, points: np.ndarray, weights, seed: int) -> None:
-        """Project onto the weighted best-fit subspace and insert into one
-        level's engine; unit weights when ``weights`` is None.
-
-        Projection is skipped when the block has fewer rows than the target
-        rank (vacuous) or when the rank reaches the ambient dimension.
-        """
-        cfg = self._cfg
-        span = self._engine(level)
-        rows = points.shape[0]
-        ell = cfg.svd_dim
-        if ell >= self._dim or rows < ell:
-            coords = span.coordinates(points)
-        else:
-            oversample = min(cfg.oversample, min(rows, self._dim) - ell)
-            trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
-            fit_weights = np.ones(rows, dtype=np.int64) if weights is None else weights
-            t0 = time.perf_counter()
-            self.stats.peak_live_projectors = max(self.stats.peak_live_projectors, 1)
-            projector = weighted_best_fit(points, fit_weights, trunc)
-            coords = project(points, projector, span.cover(projector.vectors))
-            del projector
-            self.stats.svd_seconds += time.perf_counter() - t0
-            self.stats.svd_calls += 1
-        span.insert(coords, weights)
-
     def push_piece(self, piece) -> None:
         """Project one piece and feed it to level 0 with unit weights.
 
         Piece seeds derive as seed xor piece index, matching the
-        single-engine pipeline so a one-piece tree reproduces it exactly;
-        flush seeds mix (level, flush ordinal) instead.
+        single-engine pipeline so a tree that never flushes reproduces it
+        exactly; flush seeds mix (level, flush ordinal) instead.
         """
         block = np.asarray(piece, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self._dim:
             raise ValueError(f"expected a piece of dimension {self._dim}")
         if block.shape[0] > self._cfg.piece_size:
             raise ValueError("piece exceeds the configured piece size")
-        self._feed(0, block, None, (self._cfg.seed ^ self._piece_index) & MASK64)
+        self._engine(0).feed(block, None, self._cfg,
+                             (self._cfg.seed ^ self._piece_index) & MASK64, self.stats)
         self._piece_index += 1
         slot = self._levels[0]
         slot.batches += 1
@@ -167,8 +128,9 @@ class MergeReduceTree:
         slot.flushes += 1
         self.stats.flush_sources.append(level)
 
-        self._feed(level + 1, summary.points, summary.weights,
-                   mix_seed(self._cfg.seed, level + 1, slot.flushes))
+        self._engine(level + 1).feed(summary.points, summary.weights, self._cfg,
+                                     mix_seed(self._cfg.seed, level + 1, slot.flushes),
+                                     self.stats)
         upper = self._levels[level + 1]
         upper.batches += 1
         if upper.batches == self._cfg.num_pieces:

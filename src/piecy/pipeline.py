@@ -1,4 +1,4 @@
-"""Single-engine streaming pipelines.
+"""Single-engine streaming pipelines and the projected-block feed.
 
 ``run_bico`` feeds raw points straight into one summarizer engine.
 ``run_piecy`` buffers the stream into pieces, reduces each piece's
@@ -7,9 +7,13 @@ and feeds the projected points into the same kind of engine. Both consume
 the stream exactly once and hold at most one piece, one projector and one
 engine at a time.
 
-Projected points are kept in span coordinates: ``SpanEngine`` runs the
+``SpanEngine.feed`` is the one place that decides whether a block goes in
+projected or raw and how it is decomposed; ``run_piecy`` and every level of
+the merge-and-reduce tree (``mergereduce``) feed their blocks through it,
+configured by one ``PiecyConfig`` and counted in one ``PipelineStats``.
+Projected points are kept in span coordinates: a ``SpanEngine`` runs its
 engine in the coordinates of an orthonormal basis of the span of the
-projector bases (and raw blocks) it has received, at most pieces * svd_dim
+projector bases (and raw blocks) it has received, at most blocks * svd_dim
 dimensions instead of the ambient d, and maps the extracted coreset back to
 the ambient dimension once.
 """
@@ -21,7 +25,8 @@ import numpy as np
 
 from .coreset import BicoEngine, Coreset
 from .evaluation import CostSummary, kmeans_repetitions
-from .linalg import SvdTruncation, project, randomized_truncated_svd
+from .linalg import SvdTruncation, project, randomized_truncated_svd, weighted_best_fit
+from .streams import iter_blocks
 from .util import MASK64
 
 DEFAULT_CORESET_FACTOR = 200
@@ -63,13 +68,12 @@ class PiecyConfig:
 
 @dataclass
 class PipelineStats:
-    """Instrumentation counters filled in by the runners."""
+    """Instrumentation counters filled in by the projected pipelines."""
 
     points_read: int = 0
     pieces: int = 0
     svd_calls: int = 0
     svd_seconds: float = 0.0
-    insert_seconds: float = 0.0
     peak_live_projectors: int = 0
 
 
@@ -78,20 +82,9 @@ def iter_pieces(points, piece_size: int, dim: int):
 
     The same buffer is reused between pieces; consumers must not retain
     row views across iterations (the engine and the projection both copy
-    what they keep).
+    what they keep). A point whose shape is not (dim,) raises ValueError.
     """
-    if piece_size < 1:
-        raise ValueError("piece_size must be >= 1")
-    buf = np.empty((piece_size, dim))
-    fill = 0
-    for p in points:
-        buf[fill] = p
-        fill += 1
-        if fill == piece_size:
-            yield buf
-            fill = 0
-    if fill:
-        yield buf[:fill]
+    return iter_blocks(points, piece_size, dim)
 
 
 def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -114,16 +107,17 @@ def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:
 class SpanEngine:
     """One summarizer engine run in the coordinates of its inputs' span.
 
-    A pipeline inserts each batch either projected onto a projector's
-    subspace or raw, so the points lie in the span of the projector bases
-    and raw blocks received so far: at most batches * rank dimensions. The
-    engine's decisions depend only on inner products and distances between
-    points, references and linear sums, all inside that span, so it runs in
-    the coordinates of an orthonormal basis Q of the span and makes the same
-    decisions up to roundoff. Q grows by the part of each batch outside it;
-    new columns are orthogonal to the old ones, so the engine grows by zero
-    coordinates exactly (``BicoEngine.grow``). ``extract_coreset`` maps the
-    summary back to the ambient dimension with one product by Q^T.
+    Both projected pipelines insert every block through ``feed``, either
+    projected onto the block's best-fit subspace or raw, so the points lie
+    in the span of the projector bases and raw blocks received so far: at
+    most batches * rank dimensions. The engine's decisions depend only on
+    inner products and distances between points, references and linear
+    sums, all inside that span, so it runs in the coordinates of an
+    orthonormal basis Q of the span and makes the same decisions up to
+    roundoff. Q grows by the part of each batch outside it; new columns are
+    orthogonal to the old ones, so the engine grows by zero coordinates
+    exactly (``BicoEngine.grow``). ``extract_coreset`` maps the summary back
+    to the ambient dimension with one product by Q^T.
 
     With ``rank >= dim`` nothing is projected and the span is the whole
     space from the first full piece on, so the engine keeps the ambient
@@ -180,6 +174,35 @@ class SpanEngine:
             for i in range(coords.shape[0]):
                 engine.insert(coords[i], int(weights[i]))
 
+    def feed(self, block: np.ndarray, weights, cfg: PiecyConfig, seed: int,
+             stats: PipelineStats) -> None:
+        """Insert one (rows, d) block, unit-weight when ``weights`` is None.
+
+        The block is projected onto its rank-``cfg.svd_dim`` best-fit
+        subspace, decomposed with ``seed``: unit-weight blocks directly,
+        weighted ones with the weight-aware decomposition. It goes in raw
+        when the rank reaches the ambient dimension or the block has fewer
+        rows than the rank, where projecting would be vacuous.
+        """
+        rows = block.shape[0]
+        ell = cfg.svd_dim
+        if ell >= self._dim or rows < ell:
+            coords = self.coordinates(block)
+        else:
+            oversample = min(cfg.oversample, min(rows, self._dim) - ell)
+            trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
+            t0 = time.perf_counter()
+            stats.peak_live_projectors = max(stats.peak_live_projectors, 1)
+            if weights is None:
+                projector = randomized_truncated_svd(block, trunc)
+            else:
+                projector = weighted_best_fit(block, weights, trunc)
+            coords = project(block, projector, self.cover(projector.vectors))
+            del projector
+            stats.svd_seconds += time.perf_counter() - t0
+            stats.svd_calls += 1
+        self.insert(coords, weights)
+
     def extract_coreset(self) -> Coreset:
         """The engine's coreset, in the ambient dimension."""
         if self.engine is None:
@@ -190,18 +213,11 @@ class SpanEngine:
         return Coreset(coreset.points @ self._basis.T, coreset.weights)
 
 
-def run_bico(points, dim: int, coreset_size: int,
-             stats: PipelineStats | None = None) -> Coreset:
+def run_bico(points, dim: int, coreset_size: int) -> Coreset:
     """One pass of the plain summarizer over unit-weight points."""
     engine = BicoEngine(dim, coreset_size)
-    t0 = time.perf_counter()
-    count = 0
     for p in points:
         engine.insert(p)
-        count += 1
-    if stats is not None:
-        stats.points_read += count
-        stats.insert_seconds += time.perf_counter() - t0
     return engine.extract_coreset()
 
 
@@ -218,30 +234,13 @@ def run_piecy(points, dim: int, cfg: PiecyConfig,
     """
     if cfg.svd_dim > dim:
         raise ValueError(f"svd_dim {cfg.svd_dim} exceeds point dimension {dim}")
-    ell = cfg.svd_dim
-    span = SpanEngine(dim, cfg.coreset_size, ell)
+    if stats is None:
+        stats = PipelineStats()
+    span = SpanEngine(dim, cfg.coreset_size, cfg.svd_dim)
     for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
-        rows = piece.shape[0]
-        if ell < dim and rows >= ell:
-            oversample = min(cfg.oversample, min(rows, dim) - ell)
-            trunc = SvdTruncation(ell, oversample, cfg.power_iterations,
-                                  seed=(cfg.seed ^ index) & MASK64)
-            t0 = time.perf_counter()
-            projector = randomized_truncated_svd(piece, trunc)
-            coords = project(piece, projector, span.cover(projector.vectors))
-            if stats is not None:
-                stats.svd_seconds += time.perf_counter() - t0
-                stats.svd_calls += 1
-                stats.peak_live_projectors = max(stats.peak_live_projectors, 1)
-            del projector
-        else:
-            coords = span.coordinates(piece)
-        t0 = time.perf_counter()
-        span.insert(coords)
-        if stats is not None:
-            stats.insert_seconds += time.perf_counter() - t0
-            stats.points_read += rows
-            stats.pieces += 1
+        span.feed(piece, None, cfg, (cfg.seed ^ index) & MASK64, stats)
+        stats.points_read += piece.shape[0]
+        stats.pieces += 1
     return span.extract_coreset()
 
 

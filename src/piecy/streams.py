@@ -87,6 +87,30 @@ def write_stream(path, rows: Iterable, dim: int, fmt: str, *,
 
 # -- readers ---------------------------------------------------------------
 
+def iter_blocks(points: Iterable, size: int, dim: int) -> Iterator[np.ndarray]:
+    """Copy a point iterator into row blocks of at most ``size`` rows.
+
+    One (size, dim) buffer is reused between blocks, so consumers must copy
+    what they keep. A point whose shape is not (dim,) raises ValueError
+    rather than being broadcast across the row.
+    """
+    if size < 1:
+        raise ValueError("block size must be >= 1")
+    buf = np.empty((size, dim))
+    fill = 0
+    for x in points:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (dim,):
+            raise ValueError(f"point of shape {x.shape} does not match dimension {dim}")
+        buf[fill] = x
+        fill += 1
+        if fill == size:
+            yield buf
+            fill = 0
+    if fill:
+        yield buf[:fill]
+
+
 @dataclass
 class PointSource:
     """A re-iterable reader: ``dim`` is known up front (None for an empty
@@ -206,7 +230,11 @@ def _read_bin(path, weighted: bool, block_bytes: int = 1 << 20):
                 coords = block["x"]
                 ws = block["w"]
                 for i in range(block.shape[0]):
-                    yield coords[i], int(ws[i])
+                    weight = int(ws[i])
+                    if weight < 1:
+                        raise StreamFormatError(
+                            f"{path}: byte {offset + i * rec_size}: weight must be >= 1")
+                    yield coords[i], weight
             else:
                 block = np.frombuffer(raw, dtype="<f8").reshape(-1, dim)
                 for i in range(block.shape[0]):

@@ -21,6 +21,12 @@ class TestConfig:
             MrConfig(k=10, piece_size=2000, num_pieces=1)
         with pytest.raises(ValueError):
             MrConfig(k=10, piece_size=4, num_pieces=3)
+        with pytest.raises(ValueError):
+            MrConfig(k=0, piece_size=10, num_pieces=3)
+        with pytest.raises(ValueError):
+            MrConfig(k=10, piece_size=100, num_pieces=3, coreset_size=5)
+        with pytest.raises(TypeError):
+            MrConfig(k=10, piece_size=2000)  # num_pieces is required
 
 
 class TestFlushSchedule:
@@ -79,18 +85,22 @@ class TestFlushSchedule:
 
 class TestFinalize:
     def test_single_piece_equals_single_engine_pipeline(self):
+        # One piece; then three pieces and a raw tail of 2 < svd_dim rows,
+        # fewer than num_pieces, so level 0 never flushes.
         rng = np.random.default_rng(4)
-        rows = rng.normal(size=(30, 8))
-        cfg = MrConfig(k=2, piece_size=40, num_pieces=3, svd_dim=3,
-                       coreset_size=20, seed=7)
-        tree = MergeReduceTree(8, cfg)
-        tree.push_piece(rows)
-        got = tree.finalize()
-        want = run_piecy(iter(rows), 8,
-                         PiecyConfig(k=2, piece_size=40, svd_dim=3,
-                                     coreset_size=20, seed=7))
-        assert np.array_equal(got.points, want.points)
-        assert np.array_equal(got.weights, want.weights)
+        for n in (30, 122):
+            rows = rng.normal(size=(n, 8))
+            cfg = MrConfig(k=2, piece_size=40, num_pieces=5, svd_dim=3,
+                           coreset_size=20, seed=7)
+            tree = MergeReduceTree(8, cfg)
+            push_rows(tree, rows, 40)
+            got = tree.finalize()
+            assert tree.stats.flush_sources == []
+            want = run_piecy(iter(rows), 8,
+                             PiecyConfig(k=2, piece_size=40, svd_dim=3,
+                                         coreset_size=20, seed=7))
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
 
     def test_empty_stream(self):
         cfg = MrConfig(k=2, piece_size=5, num_pieces=2, svd_dim=2, coreset_size=5)
@@ -155,6 +165,13 @@ class TestMassAndDeterminism:
             tree.push_piece(np.zeros((3, 7)))
         with pytest.raises(ValueError):
             tree.push_piece(np.zeros((9, 4)))
+
+    @pytest.mark.parametrize("bad", [np.array([3.0]), 3.0])
+    def test_malformed_point_rejected(self, bad):
+        pts = [np.zeros(6)] * 10 + [bad] + [np.zeros(6)] * 10
+        cfg = MrConfig(k=2, piece_size=30, num_pieces=2, svd_dim=4, coreset_size=25)
+        with pytest.raises(ValueError, match="dimension 6"):
+            run_piecy_mr(iter(pts), 6, cfg)
 
 
 class TestQuality:

@@ -100,6 +100,13 @@ class TestPiecyStructure:
         run_piecy(iter(counter), 6, cfg)
         assert counter.count == 90
 
+    @pytest.mark.parametrize("bad", [np.array([3.0]), 3.0])
+    def test_malformed_point_rejected(self, bad):
+        pts = [np.zeros(6)] * 10 + [bad] + [np.zeros(6)] * 10
+        cfg = PiecyConfig(k=2, piece_size=30, svd_dim=4, coreset_size=25)
+        with pytest.raises(ValueError, match="dimension 6"):
+            run_piecy(iter(pts), 6, cfg)
+
     def test_peak_projectors_is_one(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(120, 6))

@@ -80,6 +80,16 @@ class TestBin:
         assert [w for _, w in pairs] == list(weights)
         assert np.array_equal(np.stack([x for x, _ in pairs]), pts)
 
+    def test_weighted_zero_weight_names_byte_offset(self, tmp_path):
+        path = tmp_path / "w0.bin"
+        pts = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        write_bin(path, zip(pts, [5, 0]), 2, weighted=True)
+        source = iter(PointSource(str(path), "bin", weighted=True))
+        assert next(source)[1] == 5
+        # 12-byte header, then 24-byte records: the second starts at byte 36
+        with pytest.raises(StreamFormatError, match="byte 36: weight must be >= 1"):
+            next(source)
+
     def test_empty_file_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
