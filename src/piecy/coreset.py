@@ -159,7 +159,7 @@ class _Group:
             self.norms = np.resize(self.norms, 2 * i)
             self.work = np.empty(2 * i)
         self.refs[i] = node.reference
-        self.norms[i] = node.reference @ node.reference
+        self.norms[i] = node.ref_sq
         self.size = i + 1
         self.nodes.append(node)
         self.ckey = None
@@ -175,7 +175,8 @@ class _Group:
             return self.cj, self.cpart
         if n == 1:
             j = 0
-            part = self.norms[0] - 2.0 * float(np.dot(self.refs[0], x))
+            node = self.nodes[0]
+            part = node.ref_sq - 2.0 * float(node.reference.dot(x))
         else:
             work = self.work[:n]
             np.dot(self.refs[:n], x, out=work)
@@ -191,32 +192,35 @@ class _Group:
 
 class _Node:
     """One feature in the tree; children hold the finer features spawned
-    when this one saturated. The last s.x product is memoized by point
-    identity plus the weight at cache time (any update changes the weight)."""
+    when this one saturated. ``norm_over_n`` (|s|^2/n) and ``err`` (the
+    clamped internal error q - |s|^2/n) are refreshed on every update
+    rather than recomputed on every visit. The last s.x product is memoized
+    by point identity plus the weight at cache time (any update changes the
+    weight)."""
 
-    __slots__ = ("weight", "linear_sum", "square_sum", "sum_norm", "reference",
-                 "children", "index", "dkey", "dweight", "ddot")
+    __slots__ = ("weight", "linear_sum", "square_sum", "sum_norm", "norm_over_n",
+                 "err", "reference", "ref_sq", "children", "index", "dkey",
+                 "dweight", "ddot")
 
     def __init__(self, x: np.ndarray, weight: int, x_sq: float, index: int):
         self.weight = weight
         self.linear_sum = weight * x          # fresh array
         self.square_sum = weight * x_sq
         self.sum_norm = float(weight * weight) * x_sq  # cached |s|^2
+        self.refresh()
         self.reference = x.copy()
+        self.ref_sq = x_sq
         self.children = None
         self.index = index
         self.dkey = None
         self.dweight = -1
         self.ddot = 0.0
 
-    def dot_with(self, x: np.ndarray) -> float:
-        if x is self.dkey and self.dweight == self.weight:
-            return self.ddot
-        dot = float(np.dot(self.linear_sum, x))
-        self.dkey = x
-        self.dweight = self.weight
-        self.ddot = dot
-        return dot
+    def refresh(self) -> None:
+        norm_over_n = self.sum_norm / self.weight
+        err = self.square_sum - norm_over_n
+        self.norm_over_n = norm_over_n
+        self.err = err if err > 0.0 else 0.0
 
 
 class BicoEngine:
@@ -245,6 +249,10 @@ class BicoEngine:
         self._sample = []             # first distinct locations, for the threshold
         self._distinct = set()
         self._sample_cap = min(budget + 1, bootstrap_cap)
+        self._resume_key = None       # see _absorb
+        self._resume_group = None
+        self._resume_radius = 0.0
+        self._resume_sq = 0.0
 
     @property
     def dim(self) -> int:
@@ -280,6 +288,7 @@ class BicoEngine:
         if dim == self._dim:
             return
         self._dim = dim
+        self._resume_key = self._resume_group = None
         if self._roots is None:
             for entry in self._pending:
                 entry[0] = _padded(entry[0], dim)
@@ -292,18 +301,25 @@ class BicoEngine:
     # -- ingestion ---------------------------------------------------------
 
     def insert(self, point, weight: int = 1) -> None:
-        """Absorb ``weight`` copies of ``point``."""
+        """Absorb ``weight`` copies of ``point``.
+
+        The engine keys its caches on the point object, so a point's
+        coordinates must not be changed in place once it has been inserted.
+        """
         x = np.asarray(point, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self._dim:
             raise ValueError(f"expected a point of dimension {self._dim}")
         w = int(weight)
         if w < 1:
             raise ValueError("weight must be a positive integer")
-        x_sq = float(x @ x)
-        if not math.isfinite(x_sq):
-            if not np.isfinite(x).all():
-                raise ValueError("point has non-finite coordinates")
-            raise ValueError("point coordinates overflow")
+        if x is self._resume_key:  # checked when it last arrived
+            x_sq = self._resume_sq
+        else:
+            x_sq = float(x.dot(x))
+            if not math.isfinite(x_sq):
+                if not np.isfinite(x).all():
+                    raise ValueError("point has non-finite coordinates")
+                raise ValueError("point coordinates overflow")
         self._total_weight += w
         if self._roots is None:
             self._bootstrap(x, w)
@@ -332,7 +348,7 @@ class BicoEngine:
         self._sample = []
         self._distinct = set()
         for x, w, _ in pending:
-            self._insert_live(x, float(x @ x), w)
+            self._insert_live(x, float(x.dot(x)), w)
 
     def _insert_live(self, x: np.ndarray, x_sq: float, w: int) -> None:
         remaining = w
@@ -349,28 +365,52 @@ class BicoEngine:
         streams aligned across rebuilds.
 
         The capacity math below inlines max_insertable_copies.
+
+        A node that takes no copy of ``x`` is saturated for it: its state
+        alone decides that, and only a copy placed there changes that state.
+        So the descent records the group where its saturated prefix ends
+        (the group of the first node that takes a copy, or the group a new
+        feature opens in), and the next descent of the same point object,
+        the identity the group and node caches key on, resumes there: the
+        levels skipped would repeat the same cached queries and decisions.
+        Every descent that does not rebuild overwrites the record, and a
+        rebuild or grow drops it, so it only serves back-to-back inserts.
         """
         threshold = self._threshold
-        group = self._roots
-        radius_sq = threshold  # level-1 admission radius^2; quarters per level
+        if x is self._resume_key:
+            group = self._resume_group
+            radius_sq = self._resume_radius
+        else:
+            group = self._roots
+            radius_sq = threshold  # level-1 admission radius^2; quarters per level
         placed = 0
         while True:
-            j, part = group.nearest(x)
+            if x is group.ckey:
+                j = group.cj
+                part = group.cpart
+            else:
+                j, part = group.nearest(x)
             if j < 0 or part + x_sq > radius_sq:
                 if self._num_features < self._budget:
+                    if placed == 0:
+                        self._remember(x, x_sq, group, radius_sq)
                     self._open(group, x, x_sq, remaining)
                     return placed + remaining
                 self._open(group, x, x_sq, 1)
                 self._rebuild()
+                self._resume_key = self._resume_group = None
                 return placed + 1
             node = group.nodes[j]
             n = node.weight
-            norm_over_n = node.sum_norm / n
-            err = node.square_sum - norm_over_n
-            if err < 0.0:
-                err = 0.0
-            dot = node.dot_with(x)
-            dist_sq = x_sq - (2.0 * dot - norm_over_n) / n
+            if x is node.dkey and node.dweight == n:
+                dot = node.ddot
+            else:
+                dot = float(node.linear_sum.dot(x))
+                node.dkey = x
+                node.dweight = n
+                node.ddot = dot
+            err = node.err
+            dist_sq = x_sq - (2.0 * dot - node.norm_over_n) / n
             if dist_sq < 0.0:
                 dist_sq = 0.0
             slack = n * dist_sq - threshold + err
@@ -385,6 +425,8 @@ class BicoEngine:
                 else:
                     take = 0
             if take > 0:
+                if placed == 0:
+                    self._remember(x, x_sq, group, radius_sq)
                 node.weight = n + take
                 if take == 1:
                     node.linear_sum += x
@@ -392,6 +434,7 @@ class BicoEngine:
                     node.linear_sum += take * x
                 node.square_sum += take * x_sq
                 node.sum_norm += 2.0 * take * dot + float(take * take) * x_sq
+                node.refresh()
                 placed += take
                 remaining -= take
                 if remaining == 0:
@@ -400,6 +443,13 @@ class BicoEngine:
                 node.children = _Group(self._dim)
             group = node.children
             radius_sq *= 0.25
+
+    def _remember(self, x: np.ndarray, x_sq: float, group: _Group,
+                  radius_sq: float) -> None:
+        self._resume_key = x
+        self._resume_sq = x_sq
+        self._resume_group = group
+        self._resume_radius = radius_sq
 
     def _open(self, group: _Group, x: np.ndarray, x_sq: float, w: int) -> None:
         group.add(_Node(x, w, x_sq, self._next_index))
@@ -427,7 +477,7 @@ class BicoEngine:
         group = self._roots
         radius_sq = threshold
         ref = node.reference
-        ref_sq = float(ref @ ref)
+        ref_sq = node.ref_sq
         while True:
             j, part = group.nearest(ref)
             if j < 0 or part + ref_sq > radius_sq:
@@ -444,6 +494,7 @@ class BicoEngine:
                 host.linear_sum = m_sum
                 host.square_sum = m_square
                 host.sum_norm = m_norm
+                host.refresh()
                 return
             if host.children is None:
                 host.children = _Group(self._dim)
