@@ -139,7 +139,7 @@ class _Group:
     repeated copies of one point hit the cache with bit-identical results.
     """
 
-    __slots__ = ("nodes", "refs", "norms", "size", "work",
+    __slots__ = ("nodes", "refs", "norms", "norm0", "size", "work",
                  "ckey", "cj", "cpart")
 
     def __init__(self, dim: int):
@@ -158,8 +158,11 @@ class _Group:
             self.refs = np.resize(self.refs, (2 * i, self.refs.shape[1]))
             self.norms = np.resize(self.norms, 2 * i)
             self.work = np.empty(2 * i)
+        ref_sq = float(node.reference @ node.reference)
         self.refs[i] = node.reference
-        self.norms[i] = node.ref_sq
+        self.norms[i] = ref_sq
+        if i == 0:
+            self.norm0 = ref_sq  # a Python float for the one-node query
         self.size = i + 1
         self.nodes.append(node)
         self.ckey = None
@@ -175,8 +178,7 @@ class _Group:
             return self.cj, self.cpart
         if n == 1:
             j = 0
-            node = self.nodes[0]
-            part = node.ref_sq - 2.0 * float(node.reference.dot(x))
+            part = self.norm0 - 2.0 * float(self.nodes[0].reference.dot(x))
         else:
             work = self.work[:n]
             np.dot(self.refs[:n], x, out=work)
@@ -199,8 +201,8 @@ class _Node:
     weight)."""
 
     __slots__ = ("weight", "linear_sum", "square_sum", "sum_norm", "norm_over_n",
-                 "err", "reference", "ref_sq", "children", "index", "dkey",
-                 "dweight", "ddot")
+                 "err", "reference", "children", "index", "dkey", "dweight",
+                 "ddot")
 
     def __init__(self, x: np.ndarray, weight: int, x_sq: float, index: int):
         self.weight = weight
@@ -209,7 +211,6 @@ class _Node:
         self.sum_norm = float(weight * weight) * x_sq  # cached |s|^2
         self.refresh()
         self.reference = x.copy()
-        self.ref_sq = x_sq
         self.children = None
         self.index = index
         self.dkey = None
@@ -249,10 +250,6 @@ class BicoEngine:
         self._sample = []             # first distinct locations, for the threshold
         self._distinct = set()
         self._sample_cap = min(budget + 1, bootstrap_cap)
-        self._resume_key = None       # see _absorb
-        self._resume_group = None
-        self._resume_radius = 0.0
-        self._resume_sq = 0.0
 
     @property
     def dim(self) -> int:
@@ -288,7 +285,6 @@ class BicoEngine:
         if dim == self._dim:
             return
         self._dim = dim
-        self._resume_key = self._resume_group = None
         if self._roots is None:
             for entry in self._pending:
                 entry[0] = _padded(entry[0], dim)
@@ -301,25 +297,18 @@ class BicoEngine:
     # -- ingestion ---------------------------------------------------------
 
     def insert(self, point, weight: int = 1) -> None:
-        """Absorb ``weight`` copies of ``point``.
-
-        The engine keys its caches on the point object, so a point's
-        coordinates must not be changed in place once it has been inserted.
-        """
+        """Absorb ``weight`` copies of ``point``."""
         x = np.asarray(point, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self._dim:
             raise ValueError(f"expected a point of dimension {self._dim}")
         w = int(weight)
         if w < 1:
             raise ValueError("weight must be a positive integer")
-        if x is self._resume_key:  # checked when it last arrived
-            x_sq = self._resume_sq
-        else:
-            x_sq = float(x.dot(x))
-            if not math.isfinite(x_sq):
-                if not np.isfinite(x).all():
-                    raise ValueError("point has non-finite coordinates")
-                raise ValueError("point coordinates overflow")
+        x_sq = float(x.dot(x))
+        if not math.isfinite(x_sq):
+            if not np.isfinite(x).all():
+                raise ValueError("point has non-finite coordinates")
+            raise ValueError("point coordinates overflow")
         self._total_weight += w
         if self._roots is None:
             self._bootstrap(x, w)
@@ -365,24 +354,10 @@ class BicoEngine:
         streams aligned across rebuilds.
 
         The capacity math below inlines max_insertable_copies.
-
-        A node that takes no copy of ``x`` is saturated for it: its state
-        alone decides that, and only a copy placed there changes that state.
-        So the descent records the group where its saturated prefix ends
-        (the group of the first node that takes a copy, or the group a new
-        feature opens in), and the next descent of the same point object,
-        the identity the group and node caches key on, resumes there: the
-        levels skipped would repeat the same cached queries and decisions.
-        Every descent that does not rebuild overwrites the record, and a
-        rebuild or grow drops it, so it only serves back-to-back inserts.
         """
         threshold = self._threshold
-        if x is self._resume_key:
-            group = self._resume_group
-            radius_sq = self._resume_radius
-        else:
-            group = self._roots
-            radius_sq = threshold  # level-1 admission radius^2; quarters per level
+        group = self._roots
+        radius_sq = threshold  # level-1 admission radius^2; quarters per level
         placed = 0
         while True:
             if x is group.ckey:
@@ -392,13 +367,10 @@ class BicoEngine:
                 j, part = group.nearest(x)
             if j < 0 or part + x_sq > radius_sq:
                 if self._num_features < self._budget:
-                    if placed == 0:
-                        self._remember(x, x_sq, group, radius_sq)
                     self._open(group, x, x_sq, remaining)
                     return placed + remaining
                 self._open(group, x, x_sq, 1)
                 self._rebuild()
-                self._resume_key = self._resume_group = None
                 return placed + 1
             node = group.nodes[j]
             n = node.weight
@@ -425,8 +397,6 @@ class BicoEngine:
                 else:
                     take = 0
             if take > 0:
-                if placed == 0:
-                    self._remember(x, x_sq, group, radius_sq)
                 node.weight = n + take
                 if take == 1:
                     node.linear_sum += x
@@ -443,13 +413,6 @@ class BicoEngine:
                 node.children = _Group(self._dim)
             group = node.children
             radius_sq *= 0.25
-
-    def _remember(self, x: np.ndarray, x_sq: float, group: _Group,
-                  radius_sq: float) -> None:
-        self._resume_key = x
-        self._resume_sq = x_sq
-        self._resume_group = group
-        self._resume_radius = radius_sq
 
     def _open(self, group: _Group, x: np.ndarray, x_sq: float, w: int) -> None:
         group.add(_Node(x, w, x_sq, self._next_index))
@@ -477,7 +440,7 @@ class BicoEngine:
         group = self._roots
         radius_sq = threshold
         ref = node.reference
-        ref_sq = node.ref_sq
+        ref_sq = float(ref @ ref)
         while True:
             j, part = group.nearest(ref)
             if j < 0 or part + ref_sq > radius_sq:

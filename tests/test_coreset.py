@@ -157,6 +157,23 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             BicoEngine(2, 0)
 
+    def test_rejects_reused_buffer_mutated_to_nan(self):
+        rng = np.random.default_rng(5)
+        engine = BicoEngine(3, 4)
+        buf = np.empty(3)
+        for x in rng.normal(size=(20, 3)):  # past the build
+            buf[:] = x
+            engine.insert(buf)
+            engine.insert(buf)
+        assert engine.num_features <= 4
+        total = engine.total_weight
+        buf[:] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.insert(buf)
+        assert engine.total_weight == total
+        for _, cf in engine.features():
+            assert np.isfinite(cf.linear_sum).all()
+
     def test_bootstrap_only_stream_aggregates_locations(self):
         engine = BicoEngine(2, 10)
         a = np.array([1.0, 1.0])
@@ -211,73 +228,6 @@ class TestWeightedUnitEquivalence:
             for _ in range(w):
                 b.insert(np.array([v]))
         assert_same_features(a, b)
-
-
-class TestRepeatedPointObject:
-    """Re-inserting one point object resumes its last descent part-way
-    down; the state must be bit-identical to inserting a fresh view of the
-    same memory each time, which takes the full descent."""
-
-    @staticmethod
-    def assert_identical(a, b):
-        fa, fb = a.features(), b.features()
-        assert len(fa) == len(fb)
-        for (lev_a, ca), (lev_b, cb) in zip(fa, fb):
-            assert lev_a == lev_b
-            assert ca.weight == cb.weight
-            assert ca.square_sum == cb.square_sum
-            assert np.array_equal(ca.linear_sum, cb.linear_sum)
-            assert np.array_equal(ca.reference, cb.reference)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_same_object_matches_fresh_views(self, seed):
-        rng = np.random.default_rng(60 + seed)
-        xs = rng.normal(scale=4.0, size=(600, 6))
-        ws = rng.integers(1, 9, size=600)
-        same = BicoEngine(6, 25)
-        fresh = BicoEngine(6, 25)
-        thresholds = set()
-        for i, w in enumerate(ws):
-            x = xs[i]
-            for _ in range(int(w)):
-                same.insert(x)
-                fresh.insert(xs[i])
-            thresholds.add(same.threshold)
-        assert len(thresholds) > 2  # the run crosses rebuilds
-        assert same._resume_key is x
-        assert same.threshold == fresh.threshold
-        self.assert_identical(same, fresh)
-
-    def test_weighted_then_unit_copies_of_one_object(self):
-        rng = np.random.default_rng(63)
-        xs = rng.normal(scale=4.0, size=(400, 5))
-        same = BicoEngine(5, 20)
-        fresh = BicoEngine(5, 20)
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            for w in (3, 1, 1, 2):
-                same.insert(x, w)
-                fresh.insert(xs[i], w)
-        assert same.threshold == fresh.threshold
-        self.assert_identical(same, fresh)
-
-    def test_grow_forgets_the_last_descent(self):
-        rng = np.random.default_rng(64)
-        early = rng.normal(scale=3.0, size=(300, 3))
-        late = rng.normal(scale=3.0, size=(300, 5))
-        same = BicoEngine(3, 20)
-        fresh = BicoEngine(3, 20)
-        for points in (early, late):
-            if points is late:
-                same.grow(5)
-                fresh.grow(5)
-                assert same._resume_key is None
-            for i in range(points.shape[0]):
-                x = points[i]
-                for _ in range(3):
-                    same.insert(x)
-                    fresh.insert(points[i])
-        self.assert_identical(same, fresh)
 
 
 class TestRebuild:
