@@ -212,9 +212,11 @@ def _run_pipeline(args) -> int:
     k = _require(args, "k", "--k")
     if k < 1:
         raise CliError("--k must be >= 1")
-    coreset_size = args.coreset_size or DEFAULT_CORESET_FACTOR * k
-    svd_dim = args.svd_dim or default_svd_dim(k)
-    piece_size = args.piece_size or coreset_size
+    coreset_size = args.coreset_size
+    if coreset_size is None:
+        coreset_size = DEFAULT_CORESET_FACTOR * k
+    svd_dim = default_svd_dim(k) if args.svd_dim is None else args.svd_dim
+    piece_size = coreset_size if args.piece_size is None else args.piece_size
     source = _make_source(args)
     if source.dim is None:
         raise CliError("input stream is empty and has no dimension header")

@@ -28,12 +28,18 @@ zero-padded. The pipelines use it to run an engine in the coordinates of a
 growing orthonormal basis of its inputs' span: new basis vectors are
 orthogonal to the old ones, so the points already absorbed have zero
 coordinates along them.
+
+Nearest-reference queries and s.x products are memoized under the point's
+bytes, not its identity, so a caller may refill one buffer between inserts.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Distinct bootstrap locations kept for the starting threshold, at most.
+SAMPLE_CAP = 1001
 
 
 def insertion_error_increment(group_weight: int, copies: int, dist_sq: float) -> float:
@@ -134,9 +140,10 @@ class _Group:
     """A candidate set at one tree level: nodes plus a packed reference
     index for vectorized nearest-reference queries.
 
-    The last query is memoized by point identity (references are immutable
-    and only appended, so membership changes are the only invalidation);
-    repeated copies of one point hit the cache with bit-identical results.
+    The last query is memoized by the point's byte key (references are
+    immutable and only appended, so membership changes are the only
+    invalidation); repeated copies of one point hit the cache with
+    bit-identical results.
     """
 
     __slots__ = ("nodes", "refs", "norms", "norm0", "size", "work",
@@ -167,14 +174,15 @@ class _Group:
         self.nodes.append(node)
         self.ckey = None
 
-    def nearest(self, x: np.ndarray):
+    def nearest(self, x: np.ndarray, key: bytes | None = None):
         """Index and |ref|^2 - 2*ref.x of the nearest reference (add |x|^2
         for the true squared distance); (-1, inf) when empty. Ties resolve
-        to the lowest insertion index."""
+        to the lowest insertion index. ``key`` is ``x.tobytes()``, or None
+        for a query that is not memoized."""
         n = self.size
         if n == 0:
             return -1, math.inf
-        if x is self.ckey:
+        if key is not None and key == self.ckey:
             return self.cj, self.cpart
         if n == 1:
             j = 0
@@ -186,7 +194,7 @@ class _Group:
             work += self.norms[:n]
             j = int(work.argmin())
             part = float(work[j])
-        self.ckey = x
+        self.ckey = key
         self.cj = j
         self.cpart = part
         return j, part
@@ -197,8 +205,8 @@ class _Node:
     when this one saturated. ``norm_over_n`` (|s|^2/n) and ``err`` (the
     clamped internal error q - |s|^2/n) are refreshed on every update
     rather than recomputed on every visit. The last s.x product is memoized
-    by point identity plus the weight at cache time (any update changes the
-    weight)."""
+    by the point's byte key plus the weight at cache time (any update
+    changes the weight)."""
 
     __slots__ = ("weight", "linear_sum", "square_sum", "sum_norm", "norm_over_n",
                  "err", "reference", "children", "index", "dkey", "dweight",
@@ -234,7 +242,7 @@ class BicoEngine:
     coresets are independent snapshots.
     """
 
-    def __init__(self, dim: int, budget: int, *, bootstrap_cap: int = 1001):
+    def __init__(self, dim: int, budget: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if budget < 1:
@@ -249,7 +257,7 @@ class BicoEngine:
         self._pending = []            # [x, weight, key] with consecutive-run merging
         self._sample = []             # first distinct locations, for the threshold
         self._distinct = set()
-        self._sample_cap = min(budget + 1, bootstrap_cap)
+        self._sample_cap = min(budget + 1, SAMPLE_CAP)
 
     @property
     def dim(self) -> int:
@@ -278,7 +286,8 @@ class BicoEngine:
 
         Exact: weights, squared sums, norms and the threshold are unchanged.
         Buffered bootstrap points get their location keys recomputed from the
-        padded bytes. Shrinking is refused.
+        padded bytes; memo keys from before are shorter than any key after,
+        so they never match again. Shrinking is refused.
         """
         if dim < self._dim:
             raise ValueError(f"cannot grow dimension {self._dim} down to {dim}")
@@ -310,13 +319,13 @@ class BicoEngine:
                 raise ValueError("point has non-finite coordinates")
             raise ValueError("point coordinates overflow")
         self._total_weight += w
-        if self._roots is None:
-            self._bootstrap(x, w)
-        else:
-            self._insert_live(x, x_sq, w)
-
-    def _bootstrap(self, x: np.ndarray, w: int) -> None:
         key = x.tobytes()
+        if self._roots is None:
+            self._bootstrap(x, w, key)
+        else:
+            self._insert_live(x, x_sq, w, key)
+
+    def _bootstrap(self, x: np.ndarray, w: int, key: bytes) -> None:
         pend = self._pending
         if pend and pend[-1][2] == key:
             pend[-1][1] += w
@@ -336,15 +345,15 @@ class BicoEngine:
         pending, self._pending = self._pending, []
         self._sample = []
         self._distinct = set()
-        for x, w, _ in pending:
-            self._insert_live(x, float(x.dot(x)), w)
+        for x, w, key in pending:
+            self._insert_live(x, float(x.dot(x)), w, key)
 
-    def _insert_live(self, x: np.ndarray, x_sq: float, w: int) -> None:
+    def _insert_live(self, x: np.ndarray, x_sq: float, w: int, key: bytes) -> None:
         remaining = w
         while remaining > 0:
-            remaining -= self._absorb(x, x_sq, remaining)
+            remaining -= self._absorb(x, x_sq, remaining, key)
 
-    def _absorb(self, x: np.ndarray, x_sq: float, remaining: int) -> int:
+    def _absorb(self, x: np.ndarray, x_sq: float, remaining: int, key: bytes) -> int:
         """One descent from the roots; returns the number of copies placed.
 
         Opens at most one feature. If opening would exceed the budget, the
@@ -352,19 +361,13 @@ class BicoEngine:
         retries the rest; that is exactly the order of events when the
         copies arrive one at a time, which keeps weighted and unit-weight
         streams aligned across rebuilds.
-
-        The capacity math below inlines max_insertable_copies.
         """
         threshold = self._threshold
         group = self._roots
         radius_sq = threshold  # level-1 admission radius^2; quarters per level
         placed = 0
         while True:
-            if x is group.ckey:
-                j = group.cj
-                part = group.cpart
-            else:
-                j, part = group.nearest(x)
+            j, part = group.nearest(x, key)
             if j < 0 or part + x_sq > radius_sq:
                 if self._num_features < self._budget:
                     self._open(group, x, x_sq, remaining)
@@ -374,28 +377,17 @@ class BicoEngine:
                 return placed + 1
             node = group.nodes[j]
             n = node.weight
-            if x is node.dkey and node.dweight == n:
+            if key == node.dkey and node.dweight == n:
                 dot = node.ddot
             else:
                 dot = float(node.linear_sum.dot(x))
-                node.dkey = x
+                node.dkey = key
                 node.dweight = n
                 node.ddot = dot
-            err = node.err
             dist_sq = x_sq - (2.0 * dot - node.norm_over_n) / n
             if dist_sq < 0.0:
                 dist_sq = 0.0
-            slack = n * dist_sq - threshold + err
-            if slack <= 0.0:
-                take = remaining
-            else:
-                limit = (n * threshold - n * err) / slack
-                if limit >= remaining:
-                    take = remaining
-                elif limit > 0.0:
-                    take = int(limit)
-                else:
-                    take = 0
+            take = max_insertable_copies(n, remaining, node.err, threshold, dist_sq)
             if take > 0:
                 node.weight = n + take
                 if take == 1:
@@ -517,11 +509,9 @@ def _grow_group(group: _Group, dim: int) -> None:
     refs = np.zeros((group.refs.shape[0], dim))
     refs[:, :group.refs.shape[1]] = group.refs
     group.refs = refs
-    group.ckey = None
     for node in group.nodes:
         node.linear_sum = _padded(node.linear_sum, dim)
         node.reference = _padded(node.reference, dim)
-        node.dkey = None
         if node.children is not None:
             _grow_group(node.children, dim)
 
@@ -546,7 +536,8 @@ def _min_pairwise_sq(sample: np.ndarray) -> float:
     norms = np.einsum("ij,ij->i", sample, sample)
     d2 = norms[:, None] + norms[None, :] - 2.0 * (sample @ sample.T)
     np.fill_diagonal(d2, np.inf)
-    positive = d2[d2 > 0.0]
-    if positive.size == 0:
+    d2[~(d2 > 0.0)] = np.inf  # in place; also drops NaN from overflow
+    smallest = float(d2.min())
+    if smallest == math.inf:
         return 1e-12 * float(max(norms.max(), 1.0))
-    return float(positive.min())
+    return smallest

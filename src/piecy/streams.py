@@ -138,23 +138,28 @@ class PointSource:
         return (point for point, _ in self)
 
 
+def _read_header(fh, path):
+    """Read and check a bin stream's header; the dimension, or None for an
+    empty file."""
+    header = fh.read(_HEADER.size)
+    if len(header) == 0:
+        return None
+    if len(header) < _HEADER.size:
+        raise StreamFormatError(f"{path}: truncated header at byte {len(header)}")
+    magic, version, dim = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise StreamFormatError(f"{path}: bad magic at byte 0")
+    if version != VERSION:
+        raise StreamFormatError(f"{path}: unsupported version {version}")
+    if dim < 1:
+        raise StreamFormatError(f"{path}: dimension {dim} in header")
+    return dim
+
+
 def _probe_dim(path, fmt: str, weighted: bool):
     if fmt == "bin":
         with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-        if len(header) == 0:
-            return None
-        if len(header) < _HEADER.size:
-            raise StreamFormatError(
-                f"{path}: truncated header at byte {len(header)}")
-        magic, version, dim = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise StreamFormatError(f"{path}: bad magic at byte 0")
-        if version != VERSION:
-            raise StreamFormatError(f"{path}: unsupported version {version}")
-        if dim < 1:
-            raise StreamFormatError(f"{path}: dimension {dim} in header")
-        return dim
+            return _read_header(fh, path)
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             if not line.strip():
@@ -199,16 +204,9 @@ def _read_csv(path, weighted: bool):
 
 def _read_bin(path, weighted: bool, block_bytes: int = 1 << 20):
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) == 0:
+        dim = _read_header(fh, path)
+        if dim is None:
             return
-        if len(header) < _HEADER.size:
-            raise StreamFormatError(f"{path}: truncated header at byte {len(header)}")
-        magic, version, dim = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise StreamFormatError(f"{path}: bad magic at byte 0")
-        if version != VERSION:
-            raise StreamFormatError(f"{path}: unsupported version {version}")
         if weighted:
             rec_size = 8 + 8 * dim
             rec = np.dtype([("w", "<u8"), ("x", "<f8", (dim,))])

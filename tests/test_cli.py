@@ -172,6 +172,20 @@ class TestErrors:
         code, _, err = run_cli(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("algo, flag, name", [
+        ("bico", "--coreset-size", "budget"),
+        ("piecy", "--svd-dim", "svd_dim"),
+        ("piecy", "--piece-size", "piece_size"),
+    ])
+    def test_zero_size_is_rejected(self, tmp_path, capsys, algo, flag, name):
+        path = tmp_path / "p.csv"
+        path.write_text("1,2\n3,4\n5,6\n")
+        code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "1", flag, "0",
+                                    "--input", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert name in err
+
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin
         path = tmp_path / "t.bin"

@@ -3,8 +3,8 @@ import pytest
 
 from helpers import (assert_same_features, brute_weighted_sse, feature_multiset,
                      simulate_copy_insertions)
-from piecy.coreset import (BicoEngine, ClusteringFeature, insertion_error_increment,
-                           max_insertable_copies)
+from piecy.coreset import (BicoEngine, ClusteringFeature, _min_pairwise_sq,
+                           insertion_error_increment, max_insertable_copies)
 
 
 class TestInsertionErrorIncrement:
@@ -174,6 +174,34 @@ class TestEngineBasics:
         for _, cf in engine.features():
             assert np.isfinite(cf.linear_sum).all()
 
+    def test_refilled_buffer_matches_fresh_copies(self):
+        # The engine's memos must follow the buffer's content, not the
+        # buffer object: refilling one array between inserts leaves the
+        # same features as inserting a fresh copy of every point.
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(300, 5))
+        weights = rng.integers(1, 4, size=300)
+        for use_weights in (False, True):
+            reused = BicoEngine(5, 20)
+            fresh = BicoEngine(5, 20)
+            buf = np.empty(5)
+            for x, w in zip(points, weights):
+                buf[:] = x
+                if use_weights:
+                    reused.insert(buf, int(w))
+                    fresh.insert(x.copy(), int(w))
+                else:
+                    reused.insert(buf)
+                    fresh.insert(x.copy())
+            assert reused.threshold == fresh.threshold
+            got, want = reused.features(), fresh.features()
+            assert len(got) == len(want)
+            for (lev_a, fa), (lev_b, fb) in zip(got, want):
+                assert lev_a == lev_b
+                assert fa.weight == fb.weight
+                assert np.array_equal(fa.linear_sum, fb.linear_sum)
+                assert np.array_equal(fa.reference, fb.reference)
+
     def test_bootstrap_only_stream_aggregates_locations(self):
         engine = BicoEngine(2, 10)
         a = np.array([1.0, 1.0])
@@ -187,6 +215,27 @@ class TestEngineBasics:
         assert coreset.weights[order[0]] == 1
         assert coreset.weights[order[1]] == 5
         assert np.allclose(coreset.points[order[1]], a)
+
+
+class TestStartingThreshold:
+    def test_min_pairwise_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        sample = rng.normal(size=(60, 5))
+        brute = min(float(((sample[i] - sample[j]) ** 2).sum())
+                    for i in range(60) for j in range(i + 1, 60))
+        assert _min_pairwise_sq(sample) == pytest.approx(brute, rel=1e-9)
+
+    def test_no_positive_distance_falls_back_to_a_small_threshold(self):
+        # 0.0 and -0.0 are distinct locations at distance zero
+        sample = np.array([[0.0], [-0.0]])
+        assert _min_pairwise_sq(sample) == 1e-12
+        engine = BicoEngine(1, 1)
+        engine.insert(np.array([0.0]))
+        engine.insert(np.array([-0.0]))
+        assert 0.0 < engine.threshold < 1e-9
+        engine.insert(np.array([1.0]))
+        assert engine.num_features == 1
+        assert engine.total_weight == 3
 
 
 class TestWeightedUnitEquivalence:

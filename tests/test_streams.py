@@ -103,6 +103,17 @@ class TestBin:
         with pytest.raises(StreamFormatError, match="magic"):
             PointSource(str(path), "bin")
 
+    def test_zero_dimension_header(self, tmp_path):
+        path = tmp_path / "dim0.bin"
+        write_bin(path, [np.array([1.0])], 1)
+        src = PointSource(str(path), "bin")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + b"\x00" * 4 + raw[12:])
+        with pytest.raises(StreamFormatError, match="dimension 0"):
+            PointSource(str(path), "bin")
+        with pytest.raises(StreamFormatError, match="dimension 0"):
+            list(src)  # the file changed after the probe
+
     def test_truncated_record_names_byte_offset(self, tmp_path):
         path = tmp_path / "trunc.bin"
         write_bin(path, [np.array([1.0, 2.0])], 2)
