@@ -212,18 +212,32 @@ def _run_pipeline(args) -> int:
     k = _require(args, "k", "--k")
     if k < 1:
         raise CliError("--k must be >= 1")
+    if args.reps < 1:
+        raise CliError("--reps must be >= 1")
     coreset_size = args.coreset_size
     if coreset_size is None:
         coreset_size = DEFAULT_CORESET_FACTOR * k
     svd_dim = default_svd_dim(k) if args.svd_dim is None else args.svd_dim
     piece_size = coreset_size if args.piece_size is None else args.piece_size
-    source = _make_source(args)
-    if source.dim is None:
-        raise CliError("input stream is empty and has no dimension header")
     if args.weighted and algo != "bico":
         raise CliError("weighted input is only supported by --algo bico")
     if args.weighted and args.eval_mode != "coreset":
         raise CliError("full-stream evaluation expects unweighted input")
+    # Configuration is validated here, before the input is opened.
+    if algo == "bico":
+        if coreset_size < k:
+            raise CliError(f"--coreset-size {coreset_size} is below --k {k}: "
+                           "the feature budget must hold at least k features")
+    elif algo == "piecy":
+        cfg = PiecyConfig(k=k, piece_size=piece_size, svd_dim=svd_dim,
+                          coreset_size=coreset_size, seed=args.seed)
+    else:
+        cfg = MrConfig(k=k, piece_size=piece_size,
+                       num_pieces=args.num_pieces, svd_dim=svd_dim,
+                       coreset_size=coreset_size, seed=args.seed)
+    source = _make_source(args)
+    if source.dim is None:
+        raise CliError("input stream is empty and has no dimension header")
 
     stats = PipelineStats()
     coreset_t0 = time.perf_counter()
@@ -239,14 +253,9 @@ def _run_pipeline(args) -> int:
             coreset = run_bico(timed, source.dim, coreset_size)
     elif algo == "piecy":
         timed = _TimedPoints(source.points())
-        cfg = PiecyConfig(k=k, piece_size=piece_size, svd_dim=svd_dim,
-                          coreset_size=coreset_size, seed=args.seed)
         coreset = run_piecy(timed, source.dim, cfg, stats)
     else:
         timed = _TimedPoints(source.points())
-        cfg = MrConfig(k=k, piece_size=piece_size,
-                       num_pieces=args.num_pieces, svd_dim=svd_dim,
-                       coreset_size=coreset_size, seed=args.seed)
         trees = []
         coreset = run_piecy_mr(timed, source.dim, cfg, tree_out=trees)
         stats = trees[0].stats

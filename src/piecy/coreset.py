@@ -12,7 +12,9 @@ point joins the nearest eligible feature for as many copies as fit under
 the error threshold T, and the remainder descends a level; when no feature
 is eligible a new one opens at the point. When the feature count would
 exceed the budget, T doubles and all features are re-anchored under the
-larger threshold.
+larger threshold. T starts either from the spread of the first distinct
+points or from a warm start the caller passes in; the merge-and-reduce
+tree gives each level's next engine the final T of the one before it.
 
 Inserting a point with weight w is guaranteed to leave the engine in the
 same state as inserting w consecutive unit-weight copies of the same point
@@ -235,29 +237,36 @@ class _Node:
 class BicoEngine:
     """Single-pass summarizer with a hard feature budget.
 
-    The threshold starts from the spread of the first points seen (any
-    positive start works; doubling self-corrects) and the structure is
-    built once ``budget + 1`` distinct locations have arrived. Earlier
-    points are buffered and replayed. One writer per engine; extracted
-    coresets are independent snapshots.
+    The structure is built once ``budget + 1`` distinct locations have
+    arrived; earlier points are buffered and replayed, so an engine that
+    sees at most ``budget`` locations returns them exactly. The threshold
+    it is built with is ``threshold`` when that is positive (a warm start,
+    such as the final threshold of an engine that summarized similar
+    data), and otherwise comes from the spread of the first distinct
+    locations: their smallest pairwise squared distance times budget / 16.
+    Any positive start works, because doubling self-corrects upward; only a
+    cold engine keeps the bootstrap sample that start is taken from. One
+    writer per engine; extracted coresets are independent snapshots.
     """
 
-    def __init__(self, dim: int, budget: int):
+    def __init__(self, dim: int, budget: int, threshold: float = 0.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        if not 0.0 <= threshold < math.inf:
+            raise ValueError("threshold must be finite and >= 0")
         self._dim = dim
         self._budget = budget
         self._total_weight = 0
-        self._threshold = 0.0
+        self._threshold = float(threshold)
         self._roots = None
         self._num_features = 0
         self._next_index = 0
         self._pending = []            # [x, weight, key] with consecutive-run merging
-        self._sample = []             # first distinct locations, for the threshold
+        self._sample = []             # first distinct locations, for a cold start
         self._distinct = set()
-        self._sample_cap = min(budget + 1, SAMPLE_CAP)
+        self._sample_cap = 0 if threshold > 0.0 else min(budget + 1, SAMPLE_CAP)
 
     @property
     def dim(self) -> int:
@@ -273,6 +282,8 @@ class BicoEngine:
 
     @property
     def threshold(self) -> float:
+        """The current error threshold T; before the build, the warm start
+        given to the constructor, or 0.0 for a cold engine."""
         return self._threshold
 
     @property
@@ -339,8 +350,9 @@ class BicoEngine:
                 self._build()
 
     def _build(self) -> None:
-        sample = np.stack(self._sample)
-        self._threshold = _min_pairwise_sq(sample) * self._budget / 16.0
+        if self._sample_cap:  # cold: the start comes from the sample
+            sample = np.stack(self._sample)
+            self._threshold = _min_pairwise_sq(sample) * self._budget / 16.0
         self._roots = _Group(self._dim)
         pending, self._pending = self._pending, []
         self._sample = []

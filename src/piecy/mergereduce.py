@@ -22,6 +22,14 @@ it is extracted for the next level's reduction. An engine receives at most
 that keeps the intrinsic dimension entering any single engine bounded on
 arbitrarily long streams now also bounds the engine's working dimension:
 at most ``num_pieces * svd_dim`` coordinates, whatever d is.
+
+A level's engines share one error threshold. The first engine at a level
+starts cold, from the spread of its first points; each later one starts at
+the final threshold of the engine that held the level before it, so it
+does not re-learn the scale of its inputs by doubling up from a small
+start. The carried threshold is not lowered: within a level it never goes
+down, as it never would in one engine over the level's whole input, and
+doubling still corrects it upward.
 """
 
 from dataclasses import KW_ONLY, dataclass, field
@@ -57,12 +65,13 @@ class TreeStats(PipelineStats):
 
 
 class _Slot:
-    __slots__ = ("engine", "batches", "flushes")
+    __slots__ = ("engine", "batches", "flushes", "threshold")
 
     def __init__(self):
         self.engine = None
         self.batches = 0
         self.flushes = 0
+        self.threshold = 0.0  # final threshold of the level's last engine
 
 
 class MergeReduceTree:
@@ -90,7 +99,8 @@ class MergeReduceTree:
     def _engine(self, level: int) -> SpanEngine:
         slot = self._slot(level)
         if slot.engine is None:
-            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size, self._cfg.svd_dim)
+            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size,
+                                     self._cfg.svd_dim, slot.threshold)
             self._live_engines += 1
             self.stats.peak_live_engines = max(self.stats.peak_live_engines,
                                                self._live_engines)
@@ -122,6 +132,7 @@ class MergeReduceTree:
         """Move one level's summary up: extract, reduce, insert weighted."""
         slot = self._levels[level]
         summary = slot.engine.extract_coreset()
+        slot.threshold = slot.engine.threshold
         slot.engine = None
         self._live_engines -= 1
         slot.batches = 0

@@ -122,14 +122,20 @@ class SpanEngine:
     With ``rank >= dim`` nothing is projected and the span is the whole
     space from the first full piece on, so the engine keeps the ambient
     coordinates and ``basis`` is None.
+
+    ``threshold`` is the engine's warm start (``BicoEngine``); 0.0 starts
+    it cold. A squared distance is the same in span and ambient
+    coordinates, so a threshold carries over between engines unchanged.
     """
 
-    def __init__(self, dim: int, budget: int, rank: int):
+    def __init__(self, dim: int, budget: int, rank: int, threshold: float = 0.0):
         self._dim = dim
         self._budget = budget
+        self._threshold = threshold
         self._basis = None if rank >= dim else np.zeros((dim, 0))
         # Created by the first cover when running in span coordinates.
-        self.engine = BicoEngine(dim, budget) if self._basis is None else None
+        self.engine = (BicoEngine(dim, budget, threshold)
+                       if self._basis is None else None)
 
     @property
     def basis(self) -> np.ndarray | None:
@@ -140,6 +146,11 @@ class SpanEngine:
     def dim(self) -> int:
         """The engine's working dimension."""
         return 0 if self.engine is None else self.engine.dim
+
+    @property
+    def threshold(self) -> float:
+        """The engine's current threshold; the warm start before it exists."""
+        return self._threshold if self.engine is None else self.engine.threshold
 
     def cover(self, directions: np.ndarray) -> np.ndarray | None:
         """Extend the basis so its span contains the columns of ``directions``
@@ -154,7 +165,7 @@ class SpanEngine:
         if new.shape[1]:
             basis = self._basis = np.hstack([basis, new])
             if self.engine is None:
-                self.engine = BicoEngine(basis.shape[1], self._budget)
+                self.engine = BicoEngine(basis.shape[1], self._budget, self._threshold)
             else:
                 self.engine.grow(basis.shape[1])
         return basis

@@ -45,6 +45,7 @@ def swn_matrix(clusters, per_cluster, dim, active, seed):
     return np.stack(list(structured_with_noise(cfg)))
 
 
+@pytest.mark.wallclock
 def test_criterion_01_weighted_unit_equivalence():
     with criterion(1, "weighted vs unit-copy insertion equivalence, 20 streams"):
         start = time.perf_counter()
@@ -65,6 +66,7 @@ def test_criterion_01_weighted_unit_equivalence():
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
 
 
+@pytest.mark.wallclock
 def test_criterion_02_closed_form_insertion_math():
     with criterion(2, "closed-form capacity matches copy-by-copy simulation"):
         start = time.perf_counter()
@@ -110,6 +112,7 @@ def test_criterion_03_feature_cost_identity():
             assert total == pytest.approx(brute, rel=1e-10)
 
 
+@pytest.mark.wallclock
 def test_criterion_04_randomized_svd_accuracy():
     with criterion(4, "randomized SVD within 10% of exact reconstruction error"):
         start = time.perf_counter()
@@ -141,6 +144,7 @@ def test_criterion_05_weighted_best_fit_equals_duplication():
             assert principal_angles(fast.vectors, dup.vectors).max() <= 1e-8
 
 
+@pytest.mark.wallclock
 def test_criterion_06_pipeline_quality():
     with criterion(6, "piecy and piecy-mr costs close to full-data and plain-engine"):
         start = time.perf_counter()

@@ -186,6 +186,21 @@ class TestErrors:
         assert stdout == ""
         assert name in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--algo", "bico", "--k", "1", "--reps", "0"), "--reps"),
+        (("--algo", "bico", "--k", "5", "--coreset-size", "2"), "--coreset-size"),
+        (("--algo", "piecy-mr", "--k", "5", "--coreset-size", "2",
+          "--piece-size", "50"), "coreset_size"),
+    ])
+    def test_bad_configuration_rejected_before_input_is_read(
+            self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "absent.csv"
+        code, stdout, err = run_cli(capsys, *flags, "--input", str(missing))
+        assert code == 2
+        assert stdout == ""
+        assert message in err
+        assert "absent" not in err
+
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin
         path = tmp_path / "t.bin"

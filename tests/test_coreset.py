@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (assert_same_features, brute_weighted_sse, feature_multiset,
                      simulate_copy_insertions)
+import piecy.coreset
 from piecy.coreset import (BicoEngine, ClusteringFeature, _min_pairwise_sq,
                            insertion_error_increment, max_insertable_copies)
 
@@ -236,6 +239,53 @@ class TestStartingThreshold:
         engine.insert(np.array([1.0]))
         assert engine.num_features == 1
         assert engine.total_weight == 3
+
+
+class TestWarmStart:
+    def test_given_threshold_is_reported_and_used_at_the_build(self, monkeypatch):
+        def no_sample(sample):
+            raise AssertionError("a warm engine must not measure its sample")
+
+        monkeypatch.setattr(piecy.coreset, "_min_pairwise_sq", no_sample)
+        engine = BicoEngine(2, 3, threshold=5.0)
+        assert engine.threshold == 5.0
+        for v in (0.0, 0.1, 0.2):
+            engine.insert(np.array([v, 0.0]))
+        # at most budget locations: still buffered and returned exactly
+        assert engine.features()[2][1].reference.tolist() == [0.2, 0.0]
+        assert engine.num_features == 3
+        engine.insert(np.array([0.3, 0.0]))
+        assert engine.threshold == 5.0
+        assert engine.num_features == 1
+        assert engine.total_weight == 4
+
+    def test_cold_engine_reports_zero_before_the_build(self):
+        engine = BicoEngine(2, 3)
+        engine.insert(np.array([1.0, 2.0]))
+        assert engine.threshold == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_threshold(self, bad):
+        with pytest.raises(ValueError, match="threshold"):
+            BicoEngine(2, 3, threshold=bad)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 3), budget=st.integers(1, 6),
+           threshold=st.floats(1e-3, 1e3),
+           stream=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 6)),
+                           min_size=1, max_size=40))
+    def test_weighted_insert_equals_unit_inserts(self, dim, budget, threshold, stream):
+        # locations on a small grid, so the stream revisits them
+        grid = np.random.default_rng(dim).normal(scale=5.0, size=(12, dim))
+        a = BicoEngine(dim, budget, threshold)
+        b = BicoEngine(dim, budget, threshold)
+        for loc, w in stream:
+            a.insert(grid[loc], w)
+            for _ in range(w):
+                b.insert(grid[loc])
+        assert a.total_weight == b.total_weight == sum(w for _, w in stream)
+        assert a.threshold == b.threshold
+        assert_same_features(a, b)
 
 
 class TestWeightedUnitEquivalence:

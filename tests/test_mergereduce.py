@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import CountingIter
-from piecy.evaluation import weighted_cost
+from piecy.datagen import SwnConfig, structured_with_noise
+from piecy.evaluation import evaluate_cost_multi, kmeans_repetitions, weighted_cost
 from piecy.mergereduce import MergeReduceTree, MrConfig, run_piecy_mr
-from piecy.pipeline import PiecyConfig, run_bico, run_piecy
+from piecy.pipeline import PiecyConfig, SpanEngine, run_bico, run_piecy
 
 
 def push_rows(tree, rows, piece_size):
@@ -127,6 +130,115 @@ class TestFinalize:
         assert len(coreset) == 1
         assert coreset.weights[0] == 24
         assert np.allclose(coreset.points[0], [2.0, -1.0, 3.0])
+
+
+def flush_rule(pieces, fanout):
+    """The flush sources the tree must produce: an integer model of the
+    rule, depending only on the piece count and the branching factor."""
+    batches, sources = [], []
+
+    def add(level):
+        while len(batches) <= level:
+            batches.append(0)
+        batches[level] += 1
+        if batches[level] == fanout:
+            flush(level)
+
+    def flush(level):
+        batches[level] = 0
+        sources.append(level)
+        add(level + 1)
+
+    for _ in range(pieces):
+        add(0)
+    while True:
+        live = [i for i, b in enumerate(batches) if b > 0]
+        if len(live) <= 1:
+            return sources
+        flush(live[0])
+
+
+@pytest.fixture
+def level_engines(monkeypatch):
+    """Records every level engine the tree creates, as (level, engine,
+    starting threshold), in creation order."""
+    log = []
+    engine = MergeReduceTree._engine
+
+    def recording_engine(self, level):
+        span = engine(self, level)
+        if not any(span is seen for _, seen, _ in log):
+            log.append((level, span, span.threshold))
+        return span
+
+    monkeypatch.setattr(MergeReduceTree, "_engine", recording_engine)
+    return log
+
+
+def swn_rows(clusters, per_cluster, dim, active, seed):
+    return np.stack(list(structured_with_noise(SwnConfig(
+        clusters=clusters, points_per_cluster=per_cluster, dim=dim,
+        active_dims=active, seed=seed))))
+
+
+class TestThresholdCarry:
+    def test_later_engines_start_at_their_predecessors_final_threshold(
+            self, level_engines):
+        data = swn_rows(6, 200, 20, 4, 3)
+        cfg = MrConfig(k=4, piece_size=50, num_pieces=3, svd_dim=5,
+                       coreset_size=40, seed=2)
+        coreset = run_piecy_mr(iter(data), 20, cfg)
+        assert coreset.total_weight == len(data)
+        last_final = {}
+        carried = 0
+        for level, span, start in level_engines:
+            assert start == last_final.get(level, 0.0)
+            carried += start > 0.0
+            last_final[level] = span.threshold
+        assert len(last_final) == 4
+        assert carried >= 8
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(pieces=st.integers(1, 30), piece=st.integers(3, 8),
+           fanout=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_mass_and_flush_rule_hold_with_warm_starts(self, pieces, piece,
+                                                       fanout, seed):
+        rows = np.random.default_rng(seed).normal(scale=3.0, size=(pieces * piece, 4))
+        cfg = MrConfig(k=2, piece_size=piece, num_pieces=fanout, svd_dim=2,
+                       coreset_size=3, seed=seed)
+        tree = MergeReduceTree(4, cfg)
+        push_rows(tree, rows, piece)
+        assert tree.finalize().total_weight == len(rows)
+        assert tree.stats.flush_sources == flush_rule(pieces, fanout)
+
+    def test_scale_drop_costs_no_more_than_cold_starts(self, monkeypatch):
+        # The second half is the first scaled by 1e-2, so the threshold the
+        # first half's engines pass on is far above what the second half
+        # needs; doubling never lowers it. The whole stream's cost is
+        # checked against a tree whose engines all start cold.
+        first = swn_rows(5, 300, 20, 4, 21)
+        data = np.vstack([first, 1e-2 * first])
+        k = 5
+        cfg = MrConfig(k=k, piece_size=100, num_pieces=3, svd_dim=6,
+                       coreset_size=60, seed=8)
+
+        def median_full_cost():
+            coreset = run_piecy_mr(iter(data), 20, cfg)
+            assert coreset.total_weight == len(data)
+            runs = kmeans_repetitions(coreset.points, coreset.weights.astype(float),
+                                      k, reps=5, seed=3)
+            return float(np.median(evaluate_cost_multi([c for c, _ in runs],
+                                                       iter(data))))
+
+        warm = median_full_cost()
+        init = SpanEngine.__init__
+
+        def cold_init(self, dim, budget, rank, threshold=0.0):
+            init(self, dim, budget, rank)
+
+        monkeypatch.setattr(SpanEngine, "__init__", cold_init)
+        cold = median_full_cost()
+        assert abs(warm - cold) <= 0.05 * cold
 
 
 class TestMassAndDeterminism:

@@ -38,7 +38,8 @@ def reference_piecy(points, dim, cfg):
 
 
 def reference_piecy_mr(points, dim, cfg):
-    levels = []   # per level: [engine or None, batches, flushes]
+    # per level: [engine or None, batches, flushes, last final threshold]
+    levels = []
     ell = cfg.svd_dim
 
     def reduce(block, weights, seed):
@@ -53,10 +54,10 @@ def reference_piecy_mr(points, dim, cfg):
 
     def feed(level, block, weights):
         while len(levels) <= level:
-            levels.append([None, 0, 0])
+            levels.append([None, 0, 0, 0.0])
         slot = levels[level]
         if slot[0] is None:
-            slot[0] = BicoEngine(dim, cfg.coreset_size)
+            slot[0] = BicoEngine(dim, cfg.coreset_size, slot[3])
         for i in range(block.shape[0]):
             if weights is None:
                 slot[0].insert(block[i])
@@ -69,6 +70,7 @@ def reference_piecy_mr(points, dim, cfg):
     def flush(level):
         slot = levels[level]
         summary = slot[0].extract_coreset()
+        slot[3] = slot[0].threshold
         slot[0] = None
         slot[1] = 0
         slot[2] += 1
@@ -118,8 +120,8 @@ def span_log(monkeypatch):
 
     init = SpanEngine.__init__
 
-    def recording_init(self, dim, budget, rank):
-        init(self, dim, budget, rank)
+    def recording_init(self, dim, budget, rank, threshold=0.0):
+        init(self, dim, budget, rank, threshold)
         self.test_bounds = (dim, rank)
 
     monkeypatch.setattr(SpanEngine, "insert", checked_insert)
