@@ -23,8 +23,8 @@ from . import datagen
 from .coreset import BicoEngine
 from .evaluation import CostSummary, evaluate_cost_multi, kmeans_repetitions
 from .mergereduce import MrConfig, run_piecy_mr
-from .pipeline import (DEFAULT_CORESET_FACTOR, PiecyConfig, PipelineStats,
-                       default_svd_dim, run_bico, run_piecy)
+from .pipeline import (PiecyConfig, PipelineStats, default_coreset_size,
+                       run_bico, run_piecy)
 from .streams import FORMATS, PointSource, StreamFormatError, write_stream
 
 REPORT_VERSION = 1
@@ -63,7 +63,6 @@ class _GeneratedSource:
         self._family = family
         self._cfg = cfg
         self.dim = cfg.dim
-        self.n_points = cfg.n_points
 
     def points(self):
         if self._family == "swn":
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--k", type=int, help="number of centers")
     p.add_argument("--coreset-size", type=int,
-                   help=f"feature budget (default {DEFAULT_CORESET_FACTOR}*k)")
+                   help="feature budget (default 200*k)")
     p.add_argument("--piece-size", type=int,
                    help="points per projection piece (default: coreset size)")
     p.add_argument("--svd-dim", type=int,
@@ -131,32 +130,23 @@ def _require(args, name: str, flag: str):
 
 
 def _gen_config(args):
+    """The ``--gen`` family's config; an unset range keeps the family default."""
     family = args.gen
+    ranges = {name: getattr(args, name) for name in ("spread", "noise")
+              if getattr(args, name) is not None}
     if family == "swn":
-        kwargs = dict(
+        return datagen.SwnConfig(
             clusters=_require(args, "clusters", "--clusters"),
             points_per_cluster=_require(args, "points_per_cluster", "--y"),
             dim=_require(args, "dim", "--d"),
             active_dims=_require(args, "active_dims", "--x"),
-            seed=args.seed,
-        )
-        if args.spread is not None:
-            kwargs["spread"] = args.spread
-        if args.noise is not None:
-            kwargs["noise"] = args.noise
-        return datagen.SwnConfig(**kwargs)
+            seed=args.seed, **ranges)
     if family == "lb":
-        kwargs = dict(k=_require(args, "k", "--k"),
-                      n=_require(args, "n", "--n"), seed=args.seed)
-        if args.spread is not None:
-            kwargs["spread"] = args.spread
-        if args.noise is not None:
-            kwargs["noise"] = args.noise
-        return datagen.LowerBoundConfig(**kwargs)
-    kwargs = dict(n=_require(args, "n", "--n"), seed=args.seed)
-    if args.spread is not None:
-        kwargs["spread"] = args.spread
-    return datagen.RandomConfig(**kwargs)
+        return datagen.LowerBoundConfig(k=_require(args, "k", "--k"),
+                                        n=_require(args, "n", "--n"),
+                                        seed=args.seed, **ranges)
+    ranges.pop("noise", None)  # a uniform cube has no noise range
+    return datagen.RandomConfig(n=_require(args, "n", "--n"), seed=args.seed, **ranges)
 
 
 def _guess_format(path: str, explicit) -> str:
@@ -214,48 +204,41 @@ def _run_pipeline(args) -> int:
         raise CliError("--k must be >= 1")
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
-    coreset_size = args.coreset_size
-    if coreset_size is None:
-        coreset_size = DEFAULT_CORESET_FACTOR * k
-    svd_dim = default_svd_dim(k) if args.svd_dim is None else args.svd_dim
-    piece_size = coreset_size if args.piece_size is None else args.piece_size
     if args.weighted and algo != "bico":
         raise CliError("weighted input is only supported by --algo bico")
     if args.weighted and args.eval_mode != "coreset":
         raise CliError("full-stream evaluation expects unweighted input")
     # Configuration is validated here, before the input is opened.
     if algo == "bico":
+        cfg = None
+        coreset_size = (default_coreset_size(k) if args.coreset_size is None
+                        else args.coreset_size)
         if coreset_size < k:
             raise CliError(f"--coreset-size {coreset_size} is below --k {k}: "
                            "the feature budget must hold at least k features")
-    elif algo == "piecy":
-        cfg = PiecyConfig(k=k, piece_size=piece_size, svd_dim=svd_dim,
-                          coreset_size=coreset_size, seed=args.seed)
     else:
-        cfg = MrConfig(k=k, piece_size=piece_size,
-                       num_pieces=args.num_pieces, svd_dim=svd_dim,
-                       coreset_size=coreset_size, seed=args.seed)
+        sizes = dict(k=k, piece_size=args.piece_size, svd_dim=args.svd_dim,
+                     coreset_size=args.coreset_size, seed=args.seed)
+        cfg = (PiecyConfig(**sizes) if algo == "piecy"
+               else MrConfig(**sizes, num_pieces=args.num_pieces))
+        coreset_size = cfg.coreset_size
     source = _make_source(args)
     if source.dim is None:
         raise CliError("input stream is empty and has no dimension header")
 
     stats = PipelineStats()
     coreset_t0 = time.perf_counter()
-    if algo == "bico":
-        if args.weighted:
-            timed = _TimedPoints(iter(source))
-            engine = BicoEngine(source.dim, coreset_size)
-            for point, weight in timed:
-                engine.insert(point, weight)
-            coreset = engine.extract_coreset()
-        else:
-            timed = _TimedPoints(source.points())
-            coreset = run_bico(timed, source.dim, coreset_size)
+    timed = _TimedPoints(iter(source) if args.weighted else source.points())
+    if algo == "bico" and args.weighted:
+        engine = BicoEngine(source.dim, coreset_size)
+        for point, weight in timed:
+            engine.insert(point, weight)
+        coreset = engine.extract_coreset()
+    elif algo == "bico":
+        coreset = run_bico(timed, source.dim, coreset_size)
     elif algo == "piecy":
-        timed = _TimedPoints(source.points())
         coreset = run_piecy(timed, source.dim, cfg, stats)
     else:
-        timed = _TimedPoints(source.points())
         trees = []
         coreset = run_piecy_mr(timed, source.dim, cfg, tree_out=trees)
         stats = trees[0].stats
@@ -293,9 +276,9 @@ def _run_pipeline(args) -> int:
         ("coreset_budget", coreset_size),
         ("coreset_size", len(coreset)),
         ("coreset_total_weight", coreset.total_weight),
-        ("piece_size", piece_size),
-        ("svd_dim", svd_dim),
-        ("num_pieces", args.num_pieces if algo == "piecy-mr" else "-"),
+        ("piece_size", "-" if cfg is None else cfg.piece_size),
+        ("svd_dim", "-" if cfg is None else cfg.svd_dim),
+        ("num_pieces", getattr(cfg, "num_pieces", "-")),
         ("svd_calls", stats.svd_calls),
         ("reps", args.reps),
         ("eval", args.eval_mode),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import iter_blocks
+from .streams import block_rows, iter_blocks
 from .util import mix_seed
 
 DEFAULT_REPETITIONS = 5
@@ -150,18 +150,18 @@ def weighted_cost(points, weights, centers) -> float:
     return float(w @ sq_distances(pts, ctr).min(axis=1))
 
 
-def evaluate_cost(centers, point_stream, chunk: int = 8192) -> float:
+def evaluate_cost(centers, point_stream) -> float:
     """Unweighted SSE of a stream against its nearest center, in one pass."""
-    return evaluate_cost_multi([centers], point_stream, chunk=chunk)[0]
+    return evaluate_cost_multi([centers], point_stream)[0]
 
 
-def evaluate_cost_multi(center_sets, point_stream, chunk: int = 8192) -> list:
+def evaluate_cost_multi(center_sets, point_stream) -> list:
     """Streaming SSE of the same stream against several center sets at once.
 
     One pass covers all sets; returns one cost per set, in order. Points
-    are copied into one reused (chunk, d) buffer (``streams.iter_blocks``),
-    so no read block is kept alive past its rows; a point whose shape is not
-    (d,) is rejected.
+    are copied into one reused buffer of ``streams.BLOCK_BYTES`` bytes
+    (``streams.iter_blocks``) whatever d is, so no read block is kept alive
+    past its rows; a point whose shape is not (d,) is rejected.
     """
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
@@ -169,11 +169,11 @@ def evaluate_cost_multi(center_sets, point_stream, chunk: int = 8192) -> list:
     totals = np.zeros(len(sets))
     dim = stacked.shape[1]
 
-    for rows in iter_blocks(point_stream, chunk, dim):
+    for rows in iter_blocks(point_stream, block_rows(8 * dim), dim):
         d2 = sq_distances(rows, stacked)
         for i in range(len(sets)):
             totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()
-        del d2  # free it before the next chunk's distances are allocated
+        del d2  # free it before the next block's distances are allocated
     return [float(t) for t in totals]
 
 

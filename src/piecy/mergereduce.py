@@ -124,7 +124,6 @@ class MergeReduceTree:
         slot = self._levels[0]
         slot.batches += 1
         self.stats.pieces += 1
-        self.stats.points_read += block.shape[0]
         if slot.batches == self._cfg.num_pieces:
             self._flush(0)
 

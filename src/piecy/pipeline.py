@@ -29,11 +29,14 @@ from .linalg import SvdTruncation, project, randomized_truncated_svd, weighted_b
 from .streams import iter_blocks
 from .util import MASK64
 
-DEFAULT_CORESET_FACTOR = 200
-
 #: A direction whose part outside the current span is below this fraction of
 #: the longest input direction is roundoff, not a new dimension.
 SPAN_TOL = 1e-12
+
+
+def default_coreset_size(k: int) -> int:
+    """Feature budget used when none is requested: 200k."""
+    return 200 * k
 
 
 def default_svd_dim(k: int) -> int:
@@ -43,8 +46,11 @@ def default_svd_dim(k: int) -> int:
 
 @dataclass
 class PiecyConfig:
+    """Sizes of a projected run; a size left None takes its default, and
+    ``piece_size``'s default is the resolved ``coreset_size``."""
+
     k: int
-    piece_size: int
+    piece_size: int | None = None
     svd_dim: int | None = None
     coreset_size: int | None = None
     oversample: int = 10
@@ -57,24 +63,24 @@ class PiecyConfig:
         if self.svd_dim is None:
             self.svd_dim = default_svd_dim(self.k)
         if self.coreset_size is None:
-            self.coreset_size = DEFAULT_CORESET_FACTOR * self.k
+            self.coreset_size = default_coreset_size(self.k)
+        if self.piece_size is None:
+            self.piece_size = self.coreset_size
         if self.svd_dim < 1:
             raise ValueError("svd_dim must be >= 1")
-        if self.piece_size < self.svd_dim:
-            raise ValueError("piece_size must be >= svd_dim")
         if self.coreset_size < self.k:
             raise ValueError("coreset_size must be >= k")
+        if self.piece_size < self.svd_dim:
+            raise ValueError("piece_size must be >= svd_dim")
 
 
 @dataclass
 class PipelineStats:
     """Instrumentation counters filled in by the projected pipelines."""
 
-    points_read: int = 0
     pieces: int = 0
     svd_calls: int = 0
     svd_seconds: float = 0.0
-    peak_live_projectors: int = 0
 
 
 def iter_pieces(points, piece_size: int, dim: int):
@@ -203,13 +209,11 @@ class SpanEngine:
             oversample = min(cfg.oversample, min(rows, self._dim) - ell)
             trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
             t0 = time.perf_counter()
-            stats.peak_live_projectors = max(stats.peak_live_projectors, 1)
             if weights is None:
                 projector = randomized_truncated_svd(block, trunc)
             else:
                 projector = weighted_best_fit(block, weights, trunc)
             coords = project(block, projector, self.cover(projector.vectors))
-            del projector
             stats.svd_seconds += time.perf_counter() - t0
             stats.svd_calls += 1
         self.insert(coords, weights)
@@ -250,7 +254,6 @@ def run_piecy(points, dim: int, cfg: PiecyConfig,
     span = SpanEngine(dim, cfg.coreset_size, cfg.svd_dim)
     for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
         span.feed(piece, None, cfg, (cfg.seed ^ index) & MASK64, stats)
-        stats.points_read += piece.shape[0]
         stats.pieces += 1
     return span.extract_coreset()
 

@@ -11,7 +11,8 @@ Two formats are supported:
 
 Binary round-trips are bitwise exact. Readers stream in bounded memory and
 report the first malformed position (1-based line for csv, byte offset for
-bin).
+bin). ``BLOCK_BYTES`` is the one block size: the bin reader reads that many
+bytes at a time, and the full-cost pass buffers that many bytes of rows.
 """
 
 import struct
@@ -25,6 +26,14 @@ VERSION = 1
 FORMATS = ("csv", "bin")
 
 _HEADER = struct.Struct("<4sII")
+
+#: Bytes of one block: one read from a bin file, or one buffer of rows.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that fit in one block; at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 class StreamFormatError(ValueError):
@@ -202,7 +211,7 @@ def _read_csv(path, weighted: bool):
                 yield coords
 
 
-def _read_bin(path, weighted: bool, block_bytes: int = 1 << 20):
+def _read_bin(path, weighted: bool):
     with open(path, "rb") as fh:
         dim = _read_header(fh, path)
         if dim is None:
@@ -212,11 +221,9 @@ def _read_bin(path, weighted: bool, block_bytes: int = 1 << 20):
             rec = np.dtype([("w", "<u8"), ("x", "<f8", (dim,))])
         else:
             rec_size = 8 * dim
-        # constant-bounded read buffer, framing only
-        block_records = max(1, block_bytes // rec_size)
         offset = _HEADER.size
         while True:
-            raw = fh.read(rec_size * block_records)
+            raw = fh.read(rec_size * block_rows(rec_size))
             if not raw:
                 return
             if len(raw) % rec_size:

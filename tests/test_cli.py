@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from piecy import datagen
 from piecy.cli import main
 from piecy.streams import PointSource
 
@@ -44,6 +45,25 @@ class TestGeneratorMode:
         assert src.dim == 12
         assert len(list(src)) == 9
 
+    @pytest.mark.parametrize("flags, generate, cfg", [
+        (("swn", "--clusters", "2", "--y", "3", "--d", "4", "--x", "2"),
+         datagen.structured_with_noise,
+         datagen.SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
+                           spread=3.0, noise=0.25, seed=5)),
+        (("lb", "--k", "2", "--n", "6"), datagen.lower_bound,
+         datagen.LowerBoundConfig(k=2, n=6, spread=3.0, noise=0.25, seed=5)),
+        (("random", "--n", "6"), datagen.random_cube,
+         datagen.RandomConfig(n=6, spread=3.0, seed=5)),
+    ])
+    def test_range_flags_reach_the_family_config(self, tmp_path, capsys, flags,
+                                                 generate, cfg):
+        out = tmp_path / "g.bin"
+        code, _, _ = run_cli(capsys, "--gen", *flags, "--spread", "3", "--noise", "0.25",
+                             "--seed", "5", "--out", str(out))
+        assert code == 0
+        got = np.stack(list(PointSource(str(out), "bin")))
+        assert np.array_equal(got, np.stack(list(generate(cfg))))
+
     def test_missing_flag_is_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--gen", "swn", "--clusters", "4",
                                "--out", str(tmp_path / "x.bin"))
@@ -75,6 +95,34 @@ class TestRunMode:
         assert int(report["svd_calls"]) == 4
         assert float(report["coreset_cost_median"]) >= 0.0
         assert float(report["ingest_seconds"]) >= 0.0
+
+    def test_bico_run_report(self, tmp_path, capsys):
+        data = self.gen_file(tmp_path, capsys)
+        code, stdout, _ = run_cli(capsys, "--algo", "bico", "--k", "4",
+                                  "--coreset-size", "50", "--input", str(data))
+        assert code == 0
+        report = parse_report(stdout)
+        assert report["algorithm"] == "bico"
+        assert report["n"] == "200"
+        assert report["coreset_budget"] == "50"
+        assert int(report["coreset_size"]) <= 50
+        assert report["coreset_total_weight"] == "200"
+        assert report["svd_calls"] == "0"
+        # bico has no pieces and no projection
+        assert report["piece_size"] == report["svd_dim"] == report["num_pieces"] == "-"
+
+    @pytest.mark.parametrize("budget", [(), ("--coreset-size", "60")])
+    def test_piece_size_defaults_to_coreset_budget(self, tmp_path, capsys, budget):
+        data = self.gen_file(tmp_path, capsys)
+        code, stdout, _ = run_cli(capsys, "--algo", "piecy", "--k", "2",
+                                  "--svd-dim", "3", *budget, "--input", str(data))
+        assert code == 0
+        report = parse_report(stdout)
+        assert report["coreset_budget"] == ("400" if not budget else "60")
+        assert report["piece_size"] == report["coreset_budget"]
+        assert report["svd_dim"] == "3"
+        pieces = -(-200 // int(report["piece_size"]))
+        assert int(report["svd_calls"]) == pieces
 
     def test_report_deterministic_except_timings(self, tmp_path, capsys):
         data = self.gen_file(tmp_path, capsys)

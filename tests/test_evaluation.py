@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from piecy.evaluation import (CostSummary, evaluate_cost, evaluate_cost_multi,
                               kmeans_repetitions, kmeanspp_seed, lloyd_iterate,
                               weighted_cost)
+from piecy.streams import BLOCK_BYTES
 
 
 class TestSeeding:
@@ -119,7 +122,7 @@ class TestCostEvaluation:
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(1000, 5))
         centers = rng.normal(size=(7, 5))
-        got = evaluate_cost(centers, iter(pts), chunk=128)
+        got = evaluate_cost(centers, iter(pts))
         want = sum(min(float((x - c) @ (x - c)) for c in centers) for x in pts)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -127,7 +130,7 @@ class TestCostEvaluation:
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(200, 4))
         sets = [rng.normal(size=(3, 4)) for _ in range(3)]
-        multi = evaluate_cost_multi(sets, iter(pts), chunk=64)
+        multi = evaluate_cost_multi(sets, iter(pts))
         single = [evaluate_cost(c, iter(pts)) for c in sets]
         assert np.allclose(multi, single, rtol=1e-12)
 
@@ -172,7 +175,8 @@ class TestSummaries:
 
 
 def stacked_cost_multi(center_sets, point_stream, chunk):
-    """The list-and-stack buffering evaluate_cost_multi replaced."""
+    """The list-and-stack buffering evaluate_cost_multi replaced, in blocks
+    of ``chunk`` rows."""
     from piecy.evaluation import sq_distances
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
@@ -186,14 +190,34 @@ def stacked_cost_multi(center_sets, point_stream, chunk):
     return [float(t) for t in totals]
 
 
+DIM = 64
+ROWS = max(1, BLOCK_BYTES // (8 * DIM))  # rows of DIM float64s in one block
+
+
 class TestCostBuffer:
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1],
+                             ids=["1", "rows-1", "rows", "rows+1", "2rows+1"])
     def test_bit_identical_to_stacked_chunks(self, n):
         rng = np.random.default_rng(n)
-        pts = rng.normal(size=(n, 6))
-        sets = [rng.normal(size=(4, 6)) for _ in range(3)]
-        got = evaluate_cost_multi(sets, iter(pts), chunk=64)
-        assert got == stacked_cost_multi(sets, iter(pts), chunk=64)
+        pts = rng.normal(size=(n, DIM))
+        sets = [rng.normal(size=(4, DIM)) for _ in range(3)]
+        got = evaluate_cost_multi(sets, iter(pts))
+        assert got == stacked_cost_multi(sets, iter(pts), chunk=ROWS)
+
+    def test_buffer_stays_within_a_block(self):
+        """The pass holds about one block of rows whatever d is: 10k points
+        at d=1000 are 80 MB, one block is 1 MiB."""
+        rng = np.random.default_rng(7)
+        sets = [rng.normal(size=(4, 1000)) for _ in range(3)]
+        stream = (rng.normal(size=1000) for _ in range(10_000))
+        tracemalloc.start()
+        try:
+            costs = evaluate_cost_multi(sets, stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c > 0.0 for c in costs)
+        assert peak < 2 * BLOCK_BYTES, f"peak {peak} bytes"
 
     def test_empty_stream_costs_zero(self):
         assert evaluate_cost_multi([np.zeros((2, 3))], iter([])) == [0.0]
@@ -202,4 +226,4 @@ class TestCostBuffer:
     def test_row_of_wrong_shape_rejected(self, row):
         pts = [np.zeros(3), row, np.zeros(3)]
         with pytest.raises(ValueError):
-            evaluate_cost_multi([np.zeros((2, 3))], iter(pts), chunk=8)
+            evaluate_cost_multi([np.zeros((2, 3))], iter(pts))

@@ -1,9 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import CountingIter
+from piecy import pipeline
 from piecy.coreset import BicoEngine
 from piecy.evaluation import weighted_cost
+from piecy.mergereduce import MrConfig, run_piecy_mr
 from piecy.pipeline import (PiecyConfig, PipelineStats, coreset_cost_report,
                             default_svd_dim, iter_pieces, run_bico, run_piecy)
 
@@ -20,6 +24,11 @@ class TestConfig:
         assert cfg.coreset_size == 2000
         assert default_svd_dim(10) == 15
         assert default_svd_dim(1) == 2
+
+    def test_piece_size_defaults_to_resolved_coreset_size(self):
+        assert PiecyConfig(k=3).piece_size == 600
+        assert PiecyConfig(k=3, coreset_size=50).piece_size == 50
+        assert PiecyConfig(k=3, piece_size=7, coreset_size=50).piece_size == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,13 +116,31 @@ class TestPiecyStructure:
         with pytest.raises(ValueError, match="dimension 6"):
             run_piecy(iter(pts), 6, cfg)
 
-    def test_peak_projectors_is_one(self):
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(120, 6))
-        cfg = PiecyConfig(k=2, piece_size=30, svd_dim=4, coreset_size=25, seed=0)
-        stats = PipelineStats()
-        run_piecy(iter(pts), 6, cfg, stats)
-        assert stats.peak_live_projectors == 1
+    def test_peak_projectors_is_one(self, monkeypatch):
+        """Every projector ``SpanEngine.feed`` makes is dead by the time the
+        next decomposition starts, on piecy and on piecy-mr, so at most one
+        is ever alive."""
+        made = []
+
+        def tracked(decompose):
+            def call(*args):
+                assert all(ref() is None for _, ref in made), "a projector outlived its block"
+                projector = decompose(*args)
+                made.append((decompose.__name__, weakref.ref(projector)))
+                return projector
+            return call
+
+        for name in ("randomized_truncated_svd", "weighted_best_fit"):
+            monkeypatch.setattr(pipeline, name, tracked(getattr(pipeline, name)))
+        pts = np.random.default_rng(5).normal(size=(120, 6))
+        sizes = dict(k=2, piece_size=30, svd_dim=4, coreset_size=25, seed=0)
+        run_piecy(iter(pts), 6, PiecyConfig(**sizes))
+        assert [name for name, _ in made] == ["randomized_truncated_svd"] * 4
+        made.clear()
+        run_piecy_mr(iter(pts), 6, MrConfig(**sizes, num_pieces=2))
+        assert {name for name, _ in made} == {"randomized_truncated_svd",
+                                              "weighted_best_fit"}
+        assert all(ref() is None for _, ref in made)
 
 
 class TestPiecyQuality:
