@@ -28,6 +28,7 @@ from .pipeline import (PiecyConfig, PipelineStats, default_coreset_size,
 from .streams import FORMATS, PointSource, StreamFormatError, write_stream
 
 REPORT_VERSION = 1
+DEFAULT_NUM_PIECES = 10  # --np
 
 
 class CliError(Exception):
@@ -98,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points per projection piece (default: coreset size)")
     p.add_argument("--svd-dim", type=int,
                    help="projection rank (default ceil(3k/2))")
-    p.add_argument("--np", type=int, dest="num_pieces", default=10,
-                   help="pieces per engine before a flush (piecy-mr only)")
+    p.add_argument("--np", type=int, dest="num_pieces",
+                   help="pieces per engine before a flush (piecy-mr only, "
+                        f"default {DEFAULT_NUM_PIECES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5,
                    help="evaluation repetitions")
@@ -120,6 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float,
                    help="half-width of the noise range (family default)")
     return p
+
+
+# Size flags each algorithm does not read; giving one is an error.
+_UNREAD_FLAGS = {"bico": (("piece_size", "--piece-size"), ("svd_dim", "--svd-dim"),
+                          ("num_pieces", "--np")),
+                 "piecy": (("num_pieces", "--np"),)}
 
 
 def _require(args, name: str, flag: str):
@@ -208,6 +216,9 @@ def _run_pipeline(args) -> int:
         raise CliError("weighted input is only supported by --algo bico")
     if args.weighted and args.eval_mode != "coreset":
         raise CliError("full-stream evaluation expects unweighted input")
+    for name, flag in _UNREAD_FLAGS.get(algo, ()):
+        if getattr(args, name) is not None:
+            raise CliError(f"{flag} is not used by --algo {algo}")
     # Configuration is validated here, before the input is opened.
     if algo == "bico":
         cfg = None
@@ -219,8 +230,12 @@ def _run_pipeline(args) -> int:
     else:
         sizes = dict(k=k, piece_size=args.piece_size, svd_dim=args.svd_dim,
                      coreset_size=args.coreset_size, seed=args.seed)
-        cfg = (PiecyConfig(**sizes) if algo == "piecy"
-               else MrConfig(**sizes, num_pieces=args.num_pieces))
+        if algo == "piecy":
+            cfg = PiecyConfig(**sizes)
+        else:
+            num_pieces = (DEFAULT_NUM_PIECES if args.num_pieces is None
+                          else args.num_pieces)
+            cfg = MrConfig(**sizes, num_pieces=num_pieces)
         coreset_size = cfg.coreset_size
     source = _make_source(args)
     if source.dim is None:

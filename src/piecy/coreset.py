@@ -22,14 +22,19 @@ same state as inserting w consecutive unit-weight copies of the same point
 roundoff). The closed-form insertion bound below and the rebuild timing
 are both arranged to preserve that equivalence.
 
+Until the structure is built, the engine buffers its input in one
+location-keyed bootstrap buffer: one copy and one summed weight per
+distinct location, in first-arrival order. The build runs when the
+(budget + 1)-th distinct location arrives, so the buffer holds at most
+budget + 1 locations however long the stream runs before it.
+
 ``BicoEngine.grow`` raises the engine's dimension by appending zero
-coordinates to every point it holds: references, linear sums, buffered
-bootstrap points and the threshold sample. Norms and inner products are
-unchanged, so the engine goes on as if every point so far had arrived
-zero-padded. The pipelines use it to run an engine in the coordinates of a
-growing orthonormal basis of its inputs' span: new basis vectors are
-orthogonal to the old ones, so the points already absorbed have zero
-coordinates along them.
+coordinates to every point it holds: references, linear sums and buffered
+bootstrap locations. Norms and inner products are unchanged, so the engine
+goes on as if every point so far had arrived zero-padded. The pipelines
+use it to run an engine in the coordinates of a growing orthonormal basis
+of its inputs' span: new basis vectors are orthogonal to the old ones, so
+the points already absorbed have zero coordinates along them.
 
 Nearest-reference queries and s.x products are memoized under the point's
 bytes, not its identity, so a caller may refill one buffer between inserts.
@@ -37,10 +42,11 @@ bytes, not its identity, so a caller may refill one buffer between inserts.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-# Distinct bootstrap locations kept for the starting threshold, at most.
+# At most this many bootstrap locations set a cold engine's starting threshold.
 SAMPLE_CAP = 1001
 
 
@@ -238,14 +244,15 @@ class BicoEngine:
     """Single-pass summarizer with a hard feature budget.
 
     The structure is built once ``budget + 1`` distinct locations have
-    arrived; earlier points are buffered and replayed, so an engine that
-    sees at most ``budget`` locations returns them exactly. The threshold
-    it is built with is ``threshold`` when that is positive (a warm start,
-    such as the final threshold of an engine that summarized similar
-    data), and otherwise comes from the spread of the first distinct
+    arrived. Until then the bootstrap buffer holds at most budget + 1
+    distinct locations, one copy each with its summed weight, and the build
+    replays them in first-arrival order; an engine that sees at most
+    ``budget`` locations returns them exactly. The threshold it is built
+    with is ``threshold`` when that is positive (a warm start, such as the
+    final threshold of an engine that summarized similar data), and
+    otherwise comes from the spread of the first ``SAMPLE_CAP`` buffered
     locations: their smallest pairwise squared distance times budget / 16.
-    Any positive start works, because doubling self-corrects upward; only a
-    cold engine keeps the bootstrap sample that start is taken from. One
+    Any positive start works, because doubling self-corrects upward. One
     writer per engine; extracted coresets are independent snapshots.
     """
 
@@ -263,10 +270,7 @@ class BicoEngine:
         self._roots = None
         self._num_features = 0
         self._next_index = 0
-        self._pending = []            # [x, weight, key] with consecutive-run merging
-        self._sample = []             # first distinct locations, for a cold start
-        self._distinct = set()
-        self._sample_cap = 0 if threshold > 0.0 else min(budget + 1, SAMPLE_CAP)
+        self._pending = {}  # bootstrap: key -> [x, summed weight], first-arrival order
 
     @property
     def dim(self) -> int:
@@ -289,7 +293,7 @@ class BicoEngine:
     @property
     def num_features(self) -> int:
         if self._roots is None:
-            return len(self._distinct)
+            return len(self._pending)
         return self._num_features
 
     def grow(self, dim: int) -> None:
@@ -306,11 +310,8 @@ class BicoEngine:
             return
         self._dim = dim
         if self._roots is None:
-            for entry in self._pending:
-                entry[0] = _padded(entry[0], dim)
-                entry[2] = entry[0].tobytes()
-            self._sample = [_padded(x, dim) for x in self._sample]
-            self._distinct = {entry[2] for entry in self._pending}
+            entries = [(_padded(x, dim), w) for x, w in self._pending.values()]
+            self._pending = {x.tobytes(): [x, w] for x, w in entries}
         else:
             _grow_group(self._roots, dim)
 
@@ -337,27 +338,21 @@ class BicoEngine:
             self._insert_live(x, x_sq, w, key)
 
     def _bootstrap(self, x: np.ndarray, w: int, key: bytes) -> None:
-        pend = self._pending
-        if pend and pend[-1][2] == key:
-            pend[-1][1] += w
-        else:
-            pend.append([x.copy(), w, key])
-        if key not in self._distinct:
-            self._distinct.add(key)
-            if len(self._sample) < self._sample_cap:
-                self._sample.append(x.copy())
-            if len(self._distinct) > self._budget:
-                self._build()
+        entry = self._pending.get(key)
+        if entry is not None:
+            entry[1] += w
+            return
+        self._pending[key] = [x.copy(), w]
+        if len(self._pending) > self._budget:
+            self._build()
 
     def _build(self) -> None:
-        if self._sample_cap:  # cold: the start comes from the sample
-            sample = np.stack(self._sample)
+        pending, self._pending = self._pending, {}
+        if self._threshold == 0.0:  # cold: the start comes from the first locations
+            sample = np.stack([x for x, _ in islice(pending.values(), SAMPLE_CAP)])
             self._threshold = _min_pairwise_sq(sample) * self._budget / 16.0
         self._roots = _Group(self._dim)
-        pending, self._pending = self._pending, []
-        self._sample = []
-        self._distinct = set()
-        for x, w, key in pending:
+        for key, (x, w) in pending.items():
             self._insert_live(x, float(x.dot(x)), w, key)
 
     def _insert_live(self, x: np.ndarray, x_sq: float, w: int, key: bytes) -> None:
@@ -475,7 +470,7 @@ class BicoEngine:
         deterministic traversal order."""
         out = []
         if self._roots is None:
-            for x, w, _ in _aggregate_pending(self._pending):
+            for x, w in self._pending.values():
                 out.append((1, ClusteringFeature(w, w * x, w * float(x @ x), x.copy())))
             return out
         stack = [(1, node) for node in reversed(self._roots.nodes)]
@@ -526,19 +521,6 @@ def _grow_group(group: _Group, dim: int) -> None:
         node.reference = _padded(node.reference, dim)
         if node.children is not None:
             _grow_group(node.children, dim)
-
-
-def _aggregate_pending(pending):
-    """Merge buffered entries per exact location, first-occurrence order."""
-    agg = {}
-    order = []
-    for x, w, key in pending:
-        if key in agg:
-            agg[key][1] += w
-        else:
-            agg[key] = [x, w]
-            order.append(key)
-    return [(agg[key][0], agg[key][1], key) for key in order]
 
 
 def _min_pairwise_sq(sample: np.ndarray) -> float:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .coreset import BicoEngine, Coreset
 from .evaluation import CostSummary, kmeans_repetitions
-from .linalg import SvdTruncation, project, randomized_truncated_svd, weighted_best_fit
+from .linalg import (DEFAULT_OVERSAMPLE, SvdTruncation, project, randomized_truncated_svd,
+                     weighted_best_fit)
 from .streams import iter_blocks
 from .util import MASK64
 
@@ -53,8 +54,6 @@ class PiecyConfig:
     piece_size: int | None = None
     svd_dim: int | None = None
     coreset_size: int | None = None
-    oversample: int = 10
-    power_iterations: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -206,8 +205,8 @@ class SpanEngine:
         if ell >= self._dim or rows < ell:
             coords = self.coordinates(block)
         else:
-            oversample = min(cfg.oversample, min(rows, self._dim) - ell)
-            trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
+            oversample = min(DEFAULT_OVERSAMPLE, min(rows, self._dim) - ell)
+            trunc = SvdTruncation(ell, oversample, seed=seed)
             t0 = time.perf_counter()
             if weights is None:
                 projector = randomized_truncated_svd(block, trunc)

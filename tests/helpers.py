@@ -99,6 +99,18 @@ def assert_same_features(engine_a, engine_b, rtol: float = 1e-9):
         assert abs(fa.square_sum - fb.square_sum) <= rtol * max(1.0, abs(fa.square_sum))
 
 
+def assert_identical_features(engine_a, engine_b):
+    """Bit-equal features in the same traversal order."""
+    a, b = engine_a.features(), engine_b.features()
+    assert len(a) == len(b), f"feature counts differ: {len(a)} vs {len(b)}"
+    for (lev_a, fa), (lev_b, fb) in zip(a, b):
+        assert lev_a == lev_b
+        assert fa.weight == fb.weight
+        assert fa.square_sum == fb.square_sum
+        assert np.array_equal(fa.linear_sum, fb.linear_sum)
+        assert np.array_equal(fa.reference, fb.reference)
+
+
 class CountingIter:
     """Wrap an iterable, counting how many items were pulled."""
 

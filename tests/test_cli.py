@@ -133,6 +133,14 @@ class TestRunMode:
         _, out2, _ = run_cli(capsys, *args)
         assert stable_keys(parse_report(out1)) == stable_keys(parse_report(out2))
 
+    def test_piecy_mr_takes_ten_pieces_per_flush_by_default(self, tmp_path, capsys):
+        data = self.gen_file(tmp_path, capsys)
+        code, stdout, _ = run_cli(capsys, "--algo", "piecy-mr", "--k", "2",
+                                  "--piece-size", "20", "--svd-dim", "3",
+                                  "--coreset-size", "20", "--input", str(data))
+        assert code == 0
+        assert parse_report(stdout)["num_pieces"] == "10"
+
     def test_bico_cost_zero_on_k_repeated_points(self, tmp_path, capsys):
         path = tmp_path / "rep.csv"
         rows = ["1,1", "5,5", "9,1"] * 30
@@ -239,6 +247,13 @@ class TestErrors:
         (("--algo", "bico", "--k", "5", "--coreset-size", "2"), "--coreset-size"),
         (("--algo", "piecy-mr", "--k", "5", "--coreset-size", "2",
           "--piece-size", "50"), "coreset_size"),
+        # size flags the algorithm does not read
+        (("--algo", "bico", "--k", "1", "--piece-size", "50"), "--piece-size"),
+        (("--algo", "bico", "--k", "1", "--svd-dim", "3"), "--svd-dim"),
+        (("--algo", "bico", "--k", "1", "--np", "4"), "--np"),
+        (("--algo", "bico", "--k", "1", "--svd-dim", "0", "--piece-size", "-3",
+          "--np", "1"), "--piece-size"),
+        (("--algo", "piecy", "--k", "1", "--np", "1"), "--np"),
     ])
     def test_bad_configuration_rejected_before_input_is_read(
             self, tmp_path, capsys, flags, message):

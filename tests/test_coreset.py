@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_same_features, brute_weighted_sse, feature_multiset,
-                     simulate_copy_insertions)
+from helpers import (assert_identical_features, assert_same_features,
+                     brute_weighted_sse, feature_multiset, simulate_copy_insertions)
 import piecy.coreset
 from piecy.coreset import (BicoEngine, ClusteringFeature, _min_pairwise_sq,
                            insertion_error_increment, max_insertable_copies)
@@ -197,13 +199,7 @@ class TestEngineBasics:
                     reused.insert(buf)
                     fresh.insert(x.copy())
             assert reused.threshold == fresh.threshold
-            got, want = reused.features(), fresh.features()
-            assert len(got) == len(want)
-            for (lev_a, fa), (lev_b, fb) in zip(got, want):
-                assert lev_a == lev_b
-                assert fa.weight == fb.weight
-                assert np.array_equal(fa.linear_sum, fb.linear_sum)
-                assert np.array_equal(fa.reference, fb.reference)
+            assert_identical_features(reused, fresh)
 
     def test_bootstrap_only_stream_aggregates_locations(self):
         engine = BicoEngine(2, 10)
@@ -467,3 +463,76 @@ class TestGrow:
             engine.grow(3)
         engine.grow(4)
         assert engine.dim == 4
+
+
+class TestBootstrapBuffer:
+    """Before the build the engine holds one entry per distinct location,
+    however often and in whatever order the locations repeat."""
+
+    def test_repeated_locations_hold_one_entry_each(self):
+        # 100k unit inserts over 50 locations, under the budget so the engine
+        # never builds. One entry per insert would hold about 40 MB here.
+        locations = np.random.default_rng(60).normal(size=(50, 10))
+        engine = BicoEngine(10, 1000)
+        tracemalloc.start()
+        try:
+            for i in range(100_000):
+                engine.insert(locations[i % 50])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.num_features == 50
+        assert engine.total_weight == 100_000
+        assert [cf.weight for _, cf in engine.features()] == [2000] * 50
+        assert peak < 1 << 20, f"peak {peak} bytes"
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 3), budget=st.integers(1, 8), warm=st.booleans(),
+           stream=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 5)),
+                           min_size=1, max_size=40),
+           grow_at=st.one_of(st.none(), st.integers(0, 40)))
+    def test_repeats_equal_one_weighted_insert_per_location(
+            self, dim, budget, warm, stream, grow_at):
+        # At most ``budget`` locations, so the whole stream is bootstrap. With
+        # ``grow_at`` the engine grows by one coordinate before that insert;
+        # a location first seen before the grow comes back zero-padded.
+        wide = dim + (grow_at is not None)
+        rng = np.random.default_rng(budget)
+        grid = rng.normal(scale=3.0, size=(budget, wide))
+
+        def location(loc, early, d):
+            x = np.zeros(d)
+            cols = dim if early else wide
+            x[:cols] = grid[loc, :cols]
+            return x
+
+        threshold = 2.0 if warm else 0.0
+        interleaved = BicoEngine(dim, budget, threshold)
+        totals = {}  # location -> [first seen before the grow, summed weight]
+        for i, (loc, w) in enumerate(stream):
+            if i == grow_at:
+                interleaved.grow(wide)
+            loc %= budget
+            entry = totals.setdefault(loc, [interleaved.dim == dim, 0])
+            entry[1] += w
+            interleaved.insert(location(loc, entry[0], interleaved.dim), w)
+        interleaved.grow(wide)
+
+        weighted = BicoEngine(dim, budget, threshold)
+        for loc, (early, w) in totals.items():  # first-arrival order
+            if not early:
+                weighted.grow(wide)
+            weighted.insert(location(loc, early, weighted.dim), w)
+        weighted.grow(wide)
+
+        assert interleaved.num_features == weighted.num_features == len(totals)
+        assert interleaved.threshold == weighted.threshold == threshold
+        assert_identical_features(interleaved, weighted)
+        # distinct points past the budget: the build replays the buffer,
+        # then rebuilds
+        for x in rng.normal(scale=3.0, size=(2 * budget + 2, wide)):
+            interleaved.insert(x)
+            weighted.insert(x)
+        assert interleaved.threshold == weighted.threshold > 0.0
+        assert interleaved.total_weight == weighted.total_weight
+        assert_identical_features(interleaved, weighted)

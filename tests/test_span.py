@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from piecy.coreset import BicoEngine
-from piecy.linalg import SvdTruncation, project, randomized_truncated_svd, weighted_best_fit
+from piecy.linalg import (DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERATIONS, SvdTruncation,
+                          project, randomized_truncated_svd, weighted_best_fit)
 from piecy.mergereduce import MrConfig, run_piecy_mr
 from piecy.pipeline import PiecyConfig, SpanEngine, iter_pieces, run_piecy, span_complement
 from piecy.util import MASK64, mix_seed
@@ -28,8 +29,8 @@ def reference_piecy(points, dim, cfg):
         rows = piece.shape[0]
         block = piece
         if ell < dim and rows >= ell:
-            oversample = min(cfg.oversample, min(rows, dim) - ell)
-            trunc = SvdTruncation(ell, oversample, cfg.power_iterations,
+            oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
+            trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS,
                                   seed=(cfg.seed ^ index) & MASK64)
             block = project(piece, randomized_truncated_svd(piece, trunc))
         for i in range(rows):
@@ -46,8 +47,8 @@ def reference_piecy_mr(points, dim, cfg):
         rows = block.shape[0]
         if ell >= dim or rows < ell:
             return block
-        oversample = min(cfg.oversample, min(rows, dim) - ell)
-        trunc = SvdTruncation(ell, oversample, cfg.power_iterations, seed=seed)
+        oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
+        trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS, seed=seed)
         if weights is None:
             weights = np.ones(rows, dtype=np.int64)
         return project(block, weighted_best_fit(block, weights, trunc))
