@@ -216,6 +216,8 @@ def _run_pipeline(args) -> int:
         raise CliError("weighted input is only supported by --algo bico")
     if args.weighted and args.eval_mode != "coreset":
         raise CliError("full-stream evaluation expects unweighted input")
+    if args.weighted and args.input is None:
+        raise CliError("--weighted needs --input: generated streams are unweighted")
     for name, flag in _UNREAD_FLAGS.get(algo, ()):
         if getattr(args, name) is not None:
             raise CliError(f"{flag} is not used by --algo {algo}")

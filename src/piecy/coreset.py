@@ -38,6 +38,11 @@ the points already absorbed have zero coordinates along them.
 
 Nearest-reference queries and s.x products are memoized under the point's
 bytes, not its identity, so a caller may refill one buffer between inserts.
+The memos serve only back-to-back copies of one point, as when w unit
+copies stand in for one weighted insert: at seed 1001 they hit 0 times on
+all three benchmark workloads, while acceptance criterion 01, which inserts
+every point both ways, took 7.7-10.2 s with them and 12.2-15.6 s without
+them on a 2-core machine.
 """
 
 import math
@@ -323,7 +328,7 @@ class BicoEngine:
         if x.ndim != 1 or x.shape[0] != self._dim:
             raise ValueError(f"expected a point of dimension {self._dim}")
         w = int(weight)
-        if w < 1:
+        if w < 1 or w != weight:
             raise ValueError("weight must be a positive integer")
         x_sq = float(x.dot(x))
         if not math.isfinite(x_sq):

@@ -3,7 +3,9 @@
 Provides exact and randomized truncated SVD, projection onto the spanned
 best-fit subspace, a weighted variant that reproduces the subspace of a
 row-duplicated matrix, and top singular value extraction. Points are stored
-one per row throughout.
+one per row throughout. Each SVD backend ends in one dense thin SVD: of the
+matrix itself (exact) or of its projection onto a Gaussian sketch of the
+column space (randomized).
 
 Every operation is pure with respect to its inputs and Projector values are
 immutable once built, so results can move freely between threads.
@@ -94,36 +96,12 @@ def _clip_small(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _complete_orthonormal(vectors: np.ndarray, start: int) -> None:
-    """Fill columns ``start:`` with deterministic orthonormal completions.
-
-    Walks the standard basis and Gram-Schmidts against everything accepted
-    so far; always succeeds because the requested rank never exceeds the
-    ambient dimension.
-    """
-    dim, rank = vectors.shape
-    col = start
-    for basis in range(dim):
-        if col == rank:
-            return
-        v = np.zeros(dim)
-        v[basis] = 1.0
-        v -= vectors[:, :col] @ (vectors[:, :col].T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 0.5:
-            vectors[:, col] = v / nrm
-            col += 1
-    if col != rank:
-        raise RuntimeError("failed to complete an orthonormal basis")
-
-
 def exact_truncated_svd(a, rank: int, *, max_entries: int = EXACT_ENTRY_LIMIT) -> Projector:
-    """Top-``rank`` right singular vectors and values via a dense
-    eigendecomposition of the smaller Gram matrix.
+    """Top-``rank`` right singular vectors and values from one dense thin SVD.
 
-    Intended as the small-scale reference backend; refuses inputs above
-    ``max_entries`` total entries. Squaring the matrix squares its condition
-    number, which is acceptable at the tolerances this backend is used for.
+    The small-scale reference backend; refuses inputs above ``max_entries``
+    total entries. A rank above the matrix's own rank returns orthonormal
+    vectors whose singular values clip to 0.
     """
     mat = as_matrix(a)
     rows, cols = mat.shape
@@ -135,42 +113,17 @@ def exact_truncated_svd(a, rank: int, *, max_entries: int = EXACT_ENTRY_LIMIT) -
             f"limit of {max_entries}"
         )
 
-    if cols <= rows:
-        gram = mat.T @ mat
-        evals, evecs = np.linalg.eigh(gram)
-        sigma = np.sqrt(np.clip(evals[::-1][:rank], 0.0, None))
-        vectors = np.array(evecs[:, ::-1][:, :rank])
-    else:
-        gram = mat @ mat.T
-        evals, evecs = np.linalg.eigh(gram)
-        sigma = np.sqrt(np.clip(evals[::-1][:rank], 0.0, None))
-        left = evecs[:, ::-1][:, :rank]
-        vectors = np.empty((cols, rank))
-        cutoff = sigma[0] * 1e-9 if sigma[0] > 0.0 else 0.0
-        filled = 0
-        for i in range(rank):
-            if sigma[i] <= cutoff:
-                break
-            v = mat.T @ left[:, i]
-            v -= vectors[:, :filled] @ (vectors[:, :filled].T @ v)
-            nrm = np.linalg.norm(v)
-            if nrm <= cutoff:
-                break
-            vectors[:, filled] = v / nrm
-            filled += 1
-        _complete_orthonormal(vectors, filled)
-        sigma[filled:] = 0.0
-
-    return Projector(_fix_signs(vectors), _clip_small(sigma))
+    _, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+    return Projector(_fix_signs(vt[:rank].T), _clip_small(sigma[:rank]))
 
 
 def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     """Approximate top-``rank`` Projector via Gaussian sketching.
 
-    Sketches the column space (with power iterations for spectral-gap
-    sharpening); on tall inputs a second sketch also compresses the row
-    space so the final dense SVD runs on an r-by-r core. Fully reproducible
-    for a fixed seed.
+    Sketches the column space with r = rank + oversample Gaussian directions
+    (with power iterations for spectral-gap sharpening) into an orthonormal
+    Q, then takes the dense SVD of the small r-by-cols matrix Q^T A. Fully
+    reproducible for a fixed seed.
     """
     mat = as_matrix(a)
     rows, cols = mat.shape
@@ -187,23 +140,8 @@ def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     for _ in range(trunc.power_iterations):
         z, _ = np.linalg.qr(mat.T @ q)
         q, _ = np.linalg.qr(mat @ z)
-    small = q.T @ mat  # (r, cols)
-
-    if rows > 4 * r:
-        # Tall input: compress the remaining long side as well and decompose
-        # an r-by-r core instead of r-by-cols.
-        omega2 = rng.standard_normal((r, r))
-        w, _ = np.linalg.qr(small.T @ omega2)
-        core = small @ w
-        _, sigma, vt = np.linalg.svd(core)
-        vectors = w @ vt.T
-    else:
-        _, sigma, vt = np.linalg.svd(small, full_matrices=False)
-        vectors = vt.T
-
-    sigma = np.array(sigma[:ell])
-    vectors = vectors[:, :ell]
-    return Projector(_fix_signs(vectors), _clip_small(sigma))
+    _, sigma, vt = np.linalg.svd(q.T @ mat, full_matrices=False)
+    return Projector(_fix_signs(vt[:ell].T), _clip_small(sigma[:ell]))
 
 
 def project(a, projector: Projector, basis: np.ndarray | None = None) -> np.ndarray:

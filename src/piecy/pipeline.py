@@ -27,7 +27,7 @@ from .coreset import BicoEngine, Coreset
 from .evaluation import CostSummary, kmeans_repetitions
 from .linalg import (DEFAULT_OVERSAMPLE, SvdTruncation, project, randomized_truncated_svd,
                      weighted_best_fit)
-from .streams import iter_blocks
+from .streams import iter_blocks as iter_pieces
 from .util import MASK64
 
 #: A direction whose part outside the current span is below this fraction of
@@ -80,16 +80,6 @@ class PipelineStats:
     pieces: int = 0
     svd_calls: int = 0
     svd_seconds: float = 0.0
-
-
-def iter_pieces(points, piece_size: int, dim: int):
-    """Assemble a point iterator into row blocks of at most ``piece_size``.
-
-    The same buffer is reused between pieces; consumers must not retain
-    row views across iterations (the engine and the projection both copy
-    what they keep). A point whose shape is not (dim,) raises ValueError.
-    """
-    return iter_blocks(points, piece_size, dim)
 
 
 def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:

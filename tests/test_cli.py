@@ -254,6 +254,7 @@ class TestErrors:
         (("--algo", "bico", "--k", "1", "--svd-dim", "0", "--piece-size", "-3",
           "--np", "1"), "--piece-size"),
         (("--algo", "piecy", "--k", "1", "--np", "1"), "--np"),
+        (("--algo", "bico", "--k", "1", "--weighted", "--eval", "full"), "unweighted"),
     ])
     def test_bad_configuration_rejected_before_input_is_read(
             self, tmp_path, capsys, flags, message):
@@ -263,6 +264,32 @@ class TestErrors:
         assert stdout == ""
         assert message in err
         assert "absent" not in err
+
+    def test_weighted_generated_stream_rejected(self, capsys):
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "2", "--gen", "swn",
+                                    "--clusters", "2", "--y", "5", "--d", "4", "--x", "2",
+                                    "--weighted")
+        assert code == 2
+        assert stdout == ""
+        assert "--weighted" in err
+
+    def test_empty_inputs(self, tmp_path, capsys):
+        from piecy.streams import write_bin
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "1",
+                                    "--input", str(empty))
+        assert code == 2
+        assert stdout == ""
+        assert "empty" in err
+        header_only = tmp_path / "header.bin"
+        write_bin(header_only, [], 3)
+        code, stdout, _ = run_cli(capsys, "--algo", "bico", "--k", "1",
+                                  "--input", str(header_only))
+        assert code == 0
+        report = parse_report(stdout)
+        assert report["n"] == "0"
+        assert report["coreset_empty"] == "True"
 
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin

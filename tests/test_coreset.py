@@ -157,6 +157,18 @@ class TestEngineBasics:
             engine.insert(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             engine.insert(np.array([1.0, 2.0]), 0)
+        with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+            engine.insert(np.array([1e200, 1e200]))  # finite, but |x|^2 is not
+        # fractional weights are refused, not floored; integral values of any type pass
+        with pytest.raises(ValueError, match="integer"):
+            engine.insert(np.array([1.0, 2.0]), 2.5)
+        with pytest.raises(ValueError, match="integer"):
+            engine.insert(np.array([3.0, 4.0]), np.float64(1.9))
+        assert engine.total_weight == 0
+        engine.insert(np.array([1.0, 2.0]), np.int64(2))
+        engine.insert(np.array([3.0, 4.0]), 3)
+        engine.insert(np.array([5.0, 6.0]), 2.0)
+        assert engine.total_weight == 7
         with pytest.raises(ValueError):
             BicoEngine(0, 4)
         with pytest.raises(ValueError):

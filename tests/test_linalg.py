@@ -120,7 +120,7 @@ class TestRandomizedTruncatedSvd:
         assert not np.array_equal(p1.vectors, p2.vectors)
 
     def test_two_sided_path_on_tall_input(self):
-        # rows > 4 * (rank + oversample) engages the second sketch
+        # a tall input (600 rows, sketch of 5) still recovers an exact rank-3 matrix
         rng = np.random.default_rng(31)
         base = rng.normal(size=(600, 3)) @ rng.normal(size=(3, 20))
         proj = randomized_truncated_svd(base, SvdTruncation(3, oversample=2, seed=4))

@@ -276,6 +276,8 @@ class TestMassAndDeterminism:
             tree.push_piece(np.zeros((3, 7)))
         with pytest.raises(ValueError):
             tree.push_piece(np.zeros((9, 4)))
+        with pytest.raises(ValueError, match="svd_dim"):
+            MergeReduceTree(1, cfg)  # rank 2 in a 1-d stream
 
     @pytest.mark.parametrize("bad", [np.array([3.0]), 3.0])
     def test_malformed_point_rejected(self, bad):

@@ -14,6 +14,11 @@ class TestCsv:
         pts = list(src)
         assert np.allclose(pts[0], [1.0, 2.0])
         assert np.allclose(pts[1], [3.0, 4.0])
+        # blank lines are skipped by the dimension probe and by the reader
+        path.write_text("\n1,2\n\n3,4\n")
+        src = PointSource(str(path), "csv")
+        assert src.dim == 2
+        assert np.array_equal(np.stack(list(src)), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_empty_file_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -101,6 +106,14 @@ class TestBin:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 8)
         with pytest.raises(StreamFormatError, match="magic"):
+            PointSource(str(path), "bin")
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "v2.bin"
+        write_bin(path, [np.array([1.0])], 1)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + b"\x02\x00\x00\x00" + raw[8:])
+        with pytest.raises(StreamFormatError, match="unsupported version 2"):
             PointSource(str(path), "bin")
 
     def test_zero_dimension_header(self, tmp_path):
