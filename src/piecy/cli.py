@@ -317,7 +317,9 @@ def main(argv=None) -> int:
         if args.algo is None and args.gen is not None:
             return _run_generator(args)
         if args.algo is not None:
-            return _run_pipeline(args)
+            # An overflowing squared norm is reported by BicoEngine.insert.
+            with np.errstate(over="ignore"):
+                return _run_pipeline(args)
         raise CliError("nothing to do: give --algo and/or --gen")
     except (CliError, StreamFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

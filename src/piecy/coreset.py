@@ -476,7 +476,7 @@ class BicoEngine:
         out = []
         if self._roots is None:
             for x, w in self._pending.values():
-                out.append((1, ClusteringFeature(w, w * x, w * float(x @ x), x.copy())))
+                out.append((1, ClusteringFeature.from_point(x, w)))
             return out
         stack = [(1, node) for node in reversed(self._roots.nodes)]
         while stack:

@@ -83,28 +83,11 @@ class MergeReduceTree:
         self._dim = dim
         self._cfg = cfg
         self._levels: list[_Slot] = []
-        self._piece_index = 0
-        self._live_engines = 0
         self.stats = TreeStats()
 
     @property
     def dim(self) -> int:
         return self._dim
-
-    def _slot(self, level: int) -> _Slot:
-        while len(self._levels) <= level:
-            self._levels.append(_Slot())
-        return self._levels[level]
-
-    def _engine(self, level: int) -> SpanEngine:
-        slot = self._slot(level)
-        if slot.engine is None:
-            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size,
-                                     self._cfg.svd_dim, slot.threshold)
-            self._live_engines += 1
-            self.stats.peak_live_engines = max(self.stats.peak_live_engines,
-                                               self._live_engines)
-        return slot.engine
 
     def push_piece(self, piece) -> None:
         """Project one piece and feed it to level 0 with unit weights.
@@ -118,14 +101,23 @@ class MergeReduceTree:
             raise ValueError(f"expected a piece of dimension {self._dim}")
         if block.shape[0] > self._cfg.piece_size:
             raise ValueError("piece exceeds the configured piece size")
-        self._engine(0).feed(block, None, self._cfg,
-                             (self._cfg.seed ^ self._piece_index) & MASK64, self.stats)
-        self._piece_index += 1
-        slot = self._levels[0]
-        slot.batches += 1
+        self._feed(0, block, None, (self._cfg.seed ^ self.stats.pieces) & MASK64)
         self.stats.pieces += 1
+
+    def _feed(self, level: int, block, weights, seed: int) -> None:
+        """Feed one batch to a level, starting its engine if it has none,
+        and flush the level once it holds ``num_pieces`` batches."""
+        if level == len(self._levels):
+            self._levels.append(_Slot())
+        slot = self._levels[level]
+        if slot.engine is None:
+            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size, slot.threshold)
+            live = sum(s.engine is not None for s in self._levels)
+            self.stats.peak_live_engines = max(self.stats.peak_live_engines, live)
+        slot.engine.feed(block, weights, self._cfg, seed, self.stats)
+        slot.batches += 1
         if slot.batches == self._cfg.num_pieces:
-            self._flush(0)
+            self._flush(level)
 
     def _flush(self, level: int) -> None:
         """Move one level's summary up: extract, reduce, insert weighted."""
@@ -133,18 +125,11 @@ class MergeReduceTree:
         summary = slot.engine.extract_coreset()
         slot.threshold = slot.engine.threshold
         slot.engine = None
-        self._live_engines -= 1
         slot.batches = 0
         slot.flushes += 1
         self.stats.flush_sources.append(level)
-
-        self._engine(level + 1).feed(summary.points, summary.weights, self._cfg,
-                                     mix_seed(self._cfg.seed, level + 1, slot.flushes),
-                                     self.stats)
-        upper = self._levels[level + 1]
-        upper.batches += 1
-        if upper.batches == self._cfg.num_pieces:
-            self._flush(level + 1)
+        self._feed(level + 1, summary.points, summary.weights,
+                   mix_seed(self._cfg.seed, level + 1, slot.flushes))
 
     def finalize(self) -> Coreset:
         """Cascade every live level bottom-up and return the top summary.
@@ -154,13 +139,11 @@ class MergeReduceTree:
         """
         while True:
             live = [i for i, s in enumerate(self._levels) if s.engine is not None]
-            if len(live) <= 1:
-                break
+            if not live:
+                return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
+            if len(live) == 1:
+                return self._levels[live[0]].engine.extract_coreset()
             self._flush(live[0])
-        live = [i for i, s in enumerate(self._levels) if s.engine is not None]
-        if not live:
-            return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
-        return self._levels[live[0]].engine.extract_coreset()
 
 
 def run_piecy_mr(points, dim: int, cfg: MrConfig,

@@ -11,11 +11,10 @@ engine at a time.
 projected or raw and how it is decomposed; ``run_piecy`` and every level of
 the merge-and-reduce tree (``mergereduce``) feed their blocks through it,
 configured by one ``PiecyConfig`` and counted in one ``PipelineStats``.
-Projected points are kept in span coordinates: a ``SpanEngine`` runs its
-engine in the coordinates of an orthonormal basis of the span of the
-projector bases (and raw blocks) it has received, at most blocks * svd_dim
-dimensions instead of the ambient d, and maps the extracted coreset back to
-the ambient dimension once.
+Every engine behind a ``SpanEngine`` runs in span coordinates: the
+coordinates of an orthonormal basis of the span of the projector bases and
+raw blocks it has received, at most min(d, blocks * svd_dim) dimensions, and
+the extracted coreset is mapped back to the ambient dimension once.
 """
 
 import time
@@ -105,58 +104,51 @@ class SpanEngine:
     Both projected pipelines insert every block through ``feed``, either
     projected onto the block's best-fit subspace or raw, so the points lie
     in the span of the projector bases and raw blocks received so far: at
-    most batches * rank dimensions. The engine's decisions depend only on
-    inner products and distances between points, references and linear
-    sums, all inside that span, so it runs in the coordinates of an
+    most min(d, batches * rank) dimensions. The engine's decisions depend
+    only on inner products and distances between points, references and
+    linear sums, all inside that span, so it runs in the coordinates of an
     orthonormal basis Q of the span and makes the same decisions up to
     roundoff. Q grows by the part of each batch outside it; new columns are
     orthogonal to the old ones, so the engine grows by zero coordinates
     exactly (``BicoEngine.grow``). ``extract_coreset`` maps the summary back
     to the ambient dimension with one product by Q^T.
 
-    With ``rank >= dim`` nothing is projected and the span is the whole
-    space from the first full piece on, so the engine keeps the ambient
-    coordinates and ``basis`` is None.
-
     ``threshold`` is the engine's warm start (``BicoEngine``); 0.0 starts
     it cold. A squared distance is the same in span and ambient
     coordinates, so a threshold carries over between engines unchanged.
     """
 
-    def __init__(self, dim: int, budget: int, rank: int, threshold: float = 0.0):
-        self._dim = dim
+    def __init__(self, dim: int, budget: int, threshold: float = 0.0):
         self._budget = budget
         self._threshold = threshold
-        self._basis = None if rank >= dim else np.zeros((dim, 0))
-        # Created by the first cover when running in span coordinates.
-        self.engine = (BicoEngine(dim, budget, threshold)
-                       if self._basis is None else None)
+        self._basis = np.zeros((dim, 0))
+        self.engine = None  # created by the first cover
 
     @property
-    def basis(self) -> np.ndarray | None:
-        """Orthonormal (d, dim) basis of the span; None for ambient coordinates."""
+    def basis(self) -> np.ndarray:
+        """Orthonormal (d, dim) basis of the span."""
         return self._basis
 
     @property
     def dim(self) -> int:
-        """The engine's working dimension."""
-        return 0 if self.engine is None else self.engine.dim
+        """The engine's working dimension: the basis's column count."""
+        return self._basis.shape[1]
 
     @property
     def threshold(self) -> float:
         """The engine's current threshold; the warm start before it exists."""
         return self._threshold if self.engine is None else self.engine.threshold
 
-    def cover(self, directions: np.ndarray) -> np.ndarray | None:
+    def cover(self, directions: np.ndarray) -> np.ndarray:
         """Extend the basis so its span contains the columns of ``directions``
         (d, p), grow the engine to match, and return the basis."""
         basis = self._basis
-        if basis is None or basis.shape[1] == self._dim:
+        if basis.shape[1] == basis.shape[0]:
             return basis
         new = span_complement(basis, directions)
         if new.shape[1] == 0 and self.engine is None:
             # An all-zero first block spans nothing; the engine needs a coordinate.
-            new = np.eye(self._dim, 1)
+            new = np.eye(basis.shape[0], 1)
         if new.shape[1]:
             basis = self._basis = np.hstack([basis, new])
             if self.engine is None:
@@ -167,8 +159,7 @@ class SpanEngine:
 
     def coordinates(self, rows: np.ndarray) -> np.ndarray:
         """Coordinates of unprojected rows, after covering their row space."""
-        basis = self.cover(rows.T)
-        return rows if basis is None else rows @ basis
+        return rows @ self.cover(rows.T)
 
     def insert(self, coords: np.ndarray, weights=None) -> None:
         """Insert rows given in span coordinates, with unit or given weights."""
@@ -190,12 +181,12 @@ class SpanEngine:
         when the rank reaches the ambient dimension or the block has fewer
         rows than the rank, where projecting would be vacuous.
         """
-        rows = block.shape[0]
+        rows, dim = block.shape
         ell = cfg.svd_dim
-        if ell >= self._dim or rows < ell:
+        if ell >= dim or rows < ell:
             coords = self.coordinates(block)
         else:
-            oversample = min(DEFAULT_OVERSAMPLE, min(rows, self._dim) - ell)
+            oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
             trunc = SvdTruncation(ell, oversample, seed=seed)
             t0 = time.perf_counter()
             if weights is None:
@@ -210,10 +201,8 @@ class SpanEngine:
     def extract_coreset(self) -> Coreset:
         """The engine's coreset, in the ambient dimension."""
         if self.engine is None:
-            return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
+            return Coreset(np.zeros((0, self._basis.shape[0])), np.zeros(0, dtype=np.int64))
         coreset = self.engine.extract_coreset()
-        if self._basis is None:
-            return coreset
         return Coreset(coreset.points @ self._basis.T, coreset.weights)
 
 
@@ -234,24 +223,25 @@ def run_piecy(points, dim: int, cfg: PiecyConfig,
     A final partial piece is projected as well unless it is smaller than
     the target rank, in which case projecting would be vacuous and the
     rows go in unprojected. Projection is skipped entirely when the target
-    rank reaches the ambient dimension.
+    rank reaches the ambient dimension; the raw pieces' span then fills to
+    d coordinates.
     """
     if cfg.svd_dim > dim:
         raise ValueError(f"svd_dim {cfg.svd_dim} exceeds point dimension {dim}")
     if stats is None:
         stats = PipelineStats()
-    span = SpanEngine(dim, cfg.coreset_size, cfg.svd_dim)
+    span = SpanEngine(dim, cfg.coreset_size)
     for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
         span.feed(piece, None, cfg, (cfg.seed ^ index) & MASK64, stats)
         stats.pieces += 1
     return span.extract_coreset()
 
 
-def coreset_cost_report(coreset: Coreset, k: int, reps: int = 5, seed: int = 0,
-                        max_iters: int = 100, tol: float = 1e-4) -> CostSummary:
+def coreset_cost_report(coreset: Coreset, k: int, reps: int = 5,
+                        seed: int = 0) -> CostSummary:
     """Cluster the summary ``reps`` times and summarize the weighted costs."""
     if len(coreset) == 0:
         raise ValueError("cannot evaluate an empty coreset")
     runs = kmeans_repetitions(coreset.points, coreset.weights.astype(np.float64),
-                              k, reps=reps, seed=seed, max_iters=max_iters, tol=tol)
+                              k, reps=reps, seed=seed)
     return CostSummary.of(cost for _, cost in runs)

@@ -16,7 +16,7 @@ bytes at a time, and the full-cost pass buffers that many bytes of rows.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -128,7 +128,7 @@ class PointSource:
     path: str
     fmt: str
     weighted: bool = False
-    dim: int | None = None
+    dim: int | None = field(init=False)
 
     def __post_init__(self):
         if self.fmt not in FORMATS:

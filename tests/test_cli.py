@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,20 @@ class TestErrors:
         report = parse_report(stdout)
         assert report["n"] == "0"
         assert report["coreset_empty"] == "True"
+
+    @pytest.mark.parametrize("algo", ["bico", "piecy", "piecy-mr"])
+    def test_overflowing_point_reports_only_the_error(self, tmp_path, capsys, algo):
+        # Finite coordinates whose squared norm overflows: the run stops
+        # with one error line and no numpy warning, even one made an error.
+        path = tmp_path / "big.csv"
+        path.write_text("1,2\n1e200,1e200\n3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "1",
+                                        "--input", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: point coordinates overflow\n"
 
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin

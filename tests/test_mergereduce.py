@@ -84,6 +84,17 @@ class TestFlushSchedule:
         bound = int(np.ceil(np.log(pieces) / np.log(cfg.num_pieces))) + 1
         assert tree.stats.peak_live_engines <= bound
 
+    def test_rank_matching_dimension_skips_svd(self):
+        # Pieces and flushed summaries alike go in raw when svd_dim == d.
+        rng = np.random.default_rng(9)
+        cfg = MrConfig(k=4, piece_size=25, num_pieces=2, svd_dim=4,
+                       coreset_size=20, seed=1)
+        tree = MergeReduceTree(4, cfg)
+        push_rows(tree, rng.normal(size=(100, 4)), 25)
+        assert tree.finalize().total_weight == 100
+        assert tree.stats.flush_sources == [0, 0, 1]
+        assert tree.stats.svd_calls == 0
+
 
 class TestFinalize:
     def test_single_piece_equals_single_engine_pipeline(self):
@@ -132,14 +143,19 @@ class TestFinalize:
 
 
 def flush_rule(pieces, fanout):
-    """The flush sources the tree must produce: an integer model of the
-    rule, depending only on the piece count and the branching factor."""
+    """The flush sources the tree must produce and the peak number of levels
+    holding an engine at once: an integer model of the rule, depending only
+    on the piece count and the branching factor. A level holds an engine
+    while it holds at least one batch."""
     batches, sources = [], []
+    peak = 0
 
     def add(level):
+        nonlocal peak
         while len(batches) <= level:
             batches.append(0)
         batches[level] += 1
+        peak = max(peak, sum(b > 0 for b in batches))
         if batches[level] == fanout:
             flush(level)
 
@@ -153,7 +169,7 @@ def flush_rule(pieces, fanout):
     while True:
         live = [i for i, b in enumerate(batches) if b > 0]
         if len(live) <= 1:
-            return sources
+            return sources, peak
         flush(live[0])
 
 
@@ -162,15 +178,23 @@ def level_engines(monkeypatch):
     """Records every level engine the tree creates, as (level, engine,
     starting threshold), in creation order."""
     log = []
-    engine = MergeReduceTree._engine
+    feeding = []  # levels of the batches being fed, innermost last
+    feed = MergeReduceTree._feed
+    init = SpanEngine.__init__
 
-    def recording_engine(self, level):
-        span = engine(self, level)
-        if not any(span is seen for _, seen, _ in log):
-            log.append((level, span, span.threshold))
-        return span
+    def recording_feed(self, level, *args):
+        feeding.append(level)
+        try:
+            feed(self, level, *args)
+        finally:
+            feeding.pop()
 
-    monkeypatch.setattr(MergeReduceTree, "_engine", recording_engine)
+    def recording_init(self, *args):
+        init(self, *args)
+        log.append((feeding[-1], self, self.threshold))
+
+    monkeypatch.setattr(MergeReduceTree, "_feed", recording_feed)
+    monkeypatch.setattr(SpanEngine, "__init__", recording_init)
     return log
 
 
@@ -208,7 +232,9 @@ class TestThresholdCarry:
         tree = MergeReduceTree(4, cfg)
         push_rows(tree, rows, piece)
         assert tree.finalize().total_weight == len(rows)
-        assert tree.stats.flush_sources == flush_rule(pieces, fanout)
+        sources, peak = flush_rule(pieces, fanout)
+        assert tree.stats.flush_sources == sources
+        assert tree.stats.peak_live_engines == peak
 
     def test_scale_drop_costs_no_more_than_cold_starts(self, monkeypatch):
         # The second half is the first scaled by 1e-2, so the threshold the
@@ -232,8 +258,8 @@ class TestThresholdCarry:
         warm = median_full_cost()
         init = SpanEngine.__init__
 
-        def cold_init(self, dim, budget, rank, threshold=0.0):
-            init(self, dim, budget, rank)
+        def cold_init(self, dim, budget, threshold=0.0):
+            init(self, dim, budget)
 
         monkeypatch.setattr(SpanEngine, "__init__", cold_init)
         cold = median_full_cost()

@@ -99,34 +99,24 @@ def assert_same_coreset(got, want):
 
 @pytest.fixture
 def span_log(monkeypatch):
-    """Checks every SpanEngine after each batch: orthonormal basis and a
-    working dimension within min(d, batches * svd_dim). Returns the
-    (working dimension, ambient dimension) of every check."""
+    """Checks every SpanEngine after each batch it is fed: an orthonormal
+    (d, dim) basis and a working dimension within min(d, batches * svd_dim).
+    Returns the (working dimension, ambient dimension) of every check."""
     log = []
-    insert = SpanEngine.insert
+    feed = SpanEngine.feed
 
-    def checked_insert(self, coords, weights=None):
-        insert(self, coords, weights)
+    def checked_feed(self, block, weights, cfg, seed, stats):
+        feed(self, block, weights, cfg, seed, stats)
         self.batches_seen = getattr(self, "batches_seen", 0) + 1
-        d, rank = self.test_bounds
+        d = block.shape[1]
         basis = self.basis
-        if basis is None:
-            assert self.dim == d
-        else:
-            assert basis.shape == (d, self.dim)
-            gram = basis.T @ basis
-            assert np.abs(gram - np.eye(self.dim)).max() <= ORTHO_TOL
-        assert self.dim <= min(d, self.batches_seen * rank)
+        assert basis.shape == (d, self.dim)
+        gram = basis.T @ basis
+        assert np.abs(gram - np.eye(self.dim)).max() <= ORTHO_TOL
+        assert self.dim <= min(d, self.batches_seen * cfg.svd_dim)
         log.append((self.dim, d))
 
-    init = SpanEngine.__init__
-
-    def recording_init(self, dim, budget, rank, threshold=0.0):
-        init(self, dim, budget, rank, threshold)
-        self.test_bounds = (dim, rank)
-
-    monkeypatch.setattr(SpanEngine, "insert", checked_insert)
-    monkeypatch.setattr(SpanEngine, "__init__", recording_init)
+    monkeypatch.setattr(SpanEngine, "feed", checked_feed)
     return log
 
 
@@ -180,15 +170,8 @@ def test_piecy_mr_level_engine_saturates(span_log):
 
 
 class TestSpanEngine:
-    def test_rank_at_dimension_runs_in_ambient_coordinates(self):
-        span = SpanEngine(4, 10, 4)
-        assert span.basis is None
-        assert span.dim == 4
-        rows = np.arange(8.0).reshape(2, 4)
-        assert span.coordinates(rows) is rows
-
     def test_all_zero_first_block_gets_one_coordinate(self):
-        span = SpanEngine(5, 10, 3)
+        span = SpanEngine(5, 10)
         span.insert(span.coordinates(np.zeros((2, 5))))
         assert span.dim == 1
         coreset = span.extract_coreset()
@@ -197,7 +180,7 @@ class TestSpanEngine:
         assert not coreset.points.any()
 
     def test_empty_engine_extracts_empty_ambient_coreset(self):
-        coreset = SpanEngine(7, 10, 2).extract_coreset()
+        coreset = SpanEngine(7, 10).extract_coreset()
         assert coreset.points.shape == (0, 7)
 
     def test_dependent_directions_add_nothing(self):
@@ -228,7 +211,7 @@ class TestSpanEngine:
 
     def test_coordinates_round_trip(self):
         rng = np.random.default_rng(9)
-        span = SpanEngine(12, 50, 3)
+        span = SpanEngine(12, 50)
         low = rng.normal(size=(5, 12))
         coords = span.coordinates(low)
         assert span.dim == 5
