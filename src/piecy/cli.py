@@ -246,19 +246,21 @@ def _run_pipeline(args) -> int:
     stats = PipelineStats()
     coreset_t0 = time.perf_counter()
     timed = _TimedPoints(iter(source) if args.weighted else source.points())
-    if algo == "bico" and args.weighted:
-        engine = BicoEngine(source.dim, coreset_size)
-        for point, weight in timed:
-            engine.insert(point, weight)
-        coreset = engine.extract_coreset()
-    elif algo == "bico":
-        coreset = run_bico(timed, source.dim, coreset_size)
-    elif algo == "piecy":
-        coreset = run_piecy(timed, source.dim, cfg, stats)
-    else:
-        trees = []
-        coreset = run_piecy_mr(timed, source.dim, cfg, tree_out=trees)
-        stats = trees[0].stats
+    # An overflowing squared norm is reported by BicoEngine.insert.
+    with np.errstate(over="ignore"):
+        if algo == "bico" and args.weighted:
+            engine = BicoEngine(source.dim, coreset_size)
+            for point, weight in timed:
+                engine.insert(point, weight)
+            coreset = engine.extract_coreset()
+        elif algo == "bico":
+            coreset = run_bico(timed, source.dim, coreset_size)
+        elif algo == "piecy":
+            coreset = run_piecy(timed, source.dim, cfg, stats)
+        else:
+            trees = []
+            coreset = run_piecy_mr(timed, source.dim, cfg, tree_out=trees)
+            stats = trees[0].stats
     coreset_seconds = time.perf_counter() - coreset_t0 - timed.seconds
 
     n = timed.count
@@ -317,9 +319,7 @@ def main(argv=None) -> int:
         if args.algo is None and args.gen is not None:
             return _run_generator(args)
         if args.algo is not None:
-            # An overflowing squared norm is reported by BicoEngine.insert.
-            with np.errstate(over="ignore"):
-                return _run_pipeline(args)
+            return _run_pipeline(args)
         raise CliError("nothing to do: give --algo and/or --gen")
     except (CliError, StreamFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

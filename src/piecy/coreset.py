@@ -55,6 +55,13 @@ import numpy as np
 SAMPLE_CAP = 1001
 
 
+def reject_infinite_norm(x: np.ndarray) -> None:
+    """Raise the error for coordinates whose squared norm is not finite."""
+    if not np.isfinite(x).all():
+        raise ValueError("point has non-finite coordinates")
+    raise ValueError("point coordinates overflow")
+
+
 def insertion_error_increment(group_weight: int, copies: int, dist_sq: float) -> float:
     """Exact SSE increase from adding ``copies`` copies of one point at squared
     distance ``dist_sq`` from the centroid of a group of total weight
@@ -332,9 +339,7 @@ class BicoEngine:
             raise ValueError("weight must be a positive integer")
         x_sq = float(x.dot(x))
         if not math.isfinite(x_sq):
-            if not np.isfinite(x).all():
-                raise ValueError("point has non-finite coordinates")
-            raise ValueError("point coordinates overflow")
+            reject_infinite_norm(x)
         self._total_weight += w
         key = x.tobytes()
         if self._roots is None:

@@ -17,12 +17,13 @@ raw blocks it has received, at most min(d, blocks * svd_dim) dimensions, and
 the extracted coreset is mapped back to the ambient dimension once.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coreset import BicoEngine, Coreset
+from .coreset import BicoEngine, Coreset, reject_infinite_norm
 from .evaluation import CostSummary, kmeans_repetitions
 from .linalg import (DEFAULT_OVERSAMPLE, SvdTruncation, project, randomized_truncated_svd,
                      weighted_best_fit)
@@ -87,12 +88,16 @@ def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt twice against ``basis``, then an SVD of the residual keeps
     the directions above ``SPAN_TOL``; one more pass and a QR restore the
-    orthogonality the SVD's roundoff loses on short residuals.
+    orthogonality the SVD's roundoff loses on short residuals. A column
+    whose squared norm is not finite is rejected as ``BicoEngine.insert``
+    rejects such a point.
     """
+    scale = float(np.sqrt(np.einsum("ij,ij->j", directions, directions).max(initial=0.0)))
+    if not math.isfinite(scale):
+        reject_infinite_norm(directions)
     resid = directions - basis @ (basis.T @ directions)
     resid -= basis @ (basis.T @ resid)
     u, sigma, _ = np.linalg.svd(resid, full_matrices=False)
-    scale = float(np.sqrt(np.einsum("ij,ij->j", directions, directions).max(initial=0.0)))
     new = u[:, sigma > SPAN_TOL * scale]
     new -= basis @ (basis.T @ new)
     return np.linalg.qr(new)[0]

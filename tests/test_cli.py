@@ -293,12 +293,15 @@ class TestErrors:
         assert report["n"] == "0"
         assert report["coreset_empty"] == "True"
 
+    @pytest.mark.parametrize("rows", ["1,2\n1e200,1e200\n3,4\n", "0,1e200\n1,0\n"],
+                             ids=["diagonal", "orthogonal-to-e1"])
     @pytest.mark.parametrize("algo", ["bico", "piecy", "piecy-mr"])
-    def test_overflowing_point_reports_only_the_error(self, tmp_path, capsys, algo):
+    def test_overflowing_point_reports_only_the_error(self, tmp_path, capsys, algo, rows):
         # Finite coordinates whose squared norm overflows: the run stops
         # with one error line and no numpy warning, even one made an error.
+        # The second input's big point has nothing along the first axis.
         path = tmp_path / "big.csv"
-        path.write_text("1,2\n1e200,1e200\n3,4\n")
+        path.write_text(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "1",

@@ -91,6 +91,17 @@ class TestPiecyStructure:
         run_piecy(iter(pts), 4, cfg, stats)
         assert stats.svd_calls == 0
 
+    def test_overflowing_raw_point_rejected(self):
+        # At svd_dim == d raw blocks enter the span; a point whose squared
+        # norm is not finite must be rejected, not projected away.
+        cfg = MrConfig(k=1, piece_size=2, coreset_size=4, num_pieces=2)
+        for big, msg in [(1e200, "point coordinates overflow"), (np.inf, "non-finite")]:
+            pts = np.array([[0.0, big], [1.0, 0.0]])
+            with pytest.raises(ValueError, match=msg):
+                run_piecy(iter(pts), 2, cfg)
+            with pytest.raises(ValueError, match=msg):
+                run_piecy_mr(iter(pts), 2, cfg)
+
     def test_rank_above_dimension_rejected(self):
         cfg = PiecyConfig(k=4, piece_size=25, svd_dim=9, coreset_size=20)
         with pytest.raises(ValueError):
