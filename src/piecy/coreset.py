@@ -51,7 +51,10 @@ from itertools import islice
 
 import numpy as np
 
-# At most this many bootstrap locations set a cold engine's starting threshold.
+from .streams import block_rows
+
+# At most this many bootstrap locations set a cold engine's starting threshold;
+# ``_min_pairwise_sq`` scans them in row blocks of ``streams.BLOCK_BYTES``.
 SAMPLE_CAP = 1001
 
 
@@ -534,14 +537,34 @@ def _grow_group(group: _Group, dim: int) -> None:
 
 
 def _min_pairwise_sq(sample: np.ndarray) -> float:
-    """Smallest positive squared distance among the sample rows."""
-    if sample.shape[0] < 2:
+    """Smallest positive squared distance among the m sample rows.
+
+    The rows are scanned in blocks of ``streams.block_rows(8 * m)`` rows, so
+    each block's (rows, m) distance matrix fits in ``streams.BLOCK_BYTES``
+    however large m is, and a cold build holds no m x m matrix. Each entry
+    is |a|^2 + |b|^2 - 2 a.b, evaluated in the order the full matrix used;
+    only the products a.b may differ from it in the last bit, because numpy
+    forms a full a @ a.T with a symmetric routine and each block with a
+    general one. Rows at distance zero (duplicates, signed zeros) are
+    skipped; when no pair is apart, the result is 1e-12 times the largest
+    squared norm, or 1e-12 when that norm is below 1.
+    """
+    m = sample.shape[0]
+    if m < 2:
         return 1.0
     norms = np.einsum("ij,ij->i", sample, sample)
-    d2 = norms[:, None] + norms[None, :] - 2.0 * (sample @ sample.T)
-    np.fill_diagonal(d2, np.inf)
-    d2[~(d2 > 0.0)] = np.inf  # in place; also drops NaN from overflow
-    smallest = float(d2.min())
+    smallest = math.inf
+    step = block_rows(8 * m)
+    for i in range(0, m, step):
+        j = min(i + step, m)
+        d2 = norms[i:j, None] + norms[None, :]
+        gram = sample[i:j] @ sample.T
+        gram *= 2.0
+        d2 -= gram
+        del gram  # free it before the next block allocates its d2
+        d2[np.arange(j - i), np.arange(i, j)] = np.inf
+        d2[~(d2 > 0.0)] = np.inf  # in place; also drops NaN from overflow
+        smallest = min(smallest, float(d2.min()))
     if smallest == math.inf:
         return 1e-12 * float(max(norms.max(), 1.0))
     return smallest

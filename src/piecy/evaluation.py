@@ -78,7 +78,7 @@ def kmeanspp_seed(points, weights, k: int, rng: np.random.Generator) -> np.ndarr
         mass = w * best
         idx = _draw(rng, mass) if mass.sum() > 0.0 else _draw(rng, w)
         centers[j] = pts[idx]
-        diff = pts - centers[j]
+        np.subtract(pts, centers[j], out=diff)
         np.minimum(best, np.einsum("ij,ij->i", diff, diff), out=best)
     return centers
 

@@ -158,4 +158,5 @@ def run_piecy_mr(points, dim: int, cfg: MrConfig,
         tree_out.append(tree)
     for piece in iter_pieces(points, cfg.piece_size, dim):
         tree.push_piece(piece)
+    piece = None  # the piece buffer is not needed while the tree cascades
     return tree.finalize()

@@ -239,6 +239,7 @@ def run_piecy(points, dim: int, cfg: PiecyConfig,
     for index, piece in enumerate(iter_pieces(points, cfg.piece_size, dim)):
         span.feed(piece, None, cfg, (cfg.seed ^ index) & MASK64, stats)
         stats.pieces += 1
+    piece = None  # the piece buffer is not needed while the coreset is extracted
     return span.extract_coreset()
 
 

@@ -49,6 +49,18 @@ class TestSeeding:
         with pytest.raises(ValueError):
             kmeanspp_seed(np.zeros((0, 2)), None, 1, np.random.default_rng(0))
 
+    def test_seeding_holds_one_difference_buffer(self):
+        # 20000 x 50 points are 8 MB; two live difference arrays would be 16.
+        pts = np.random.default_rng(13).normal(size=(20_000, 50))
+        tracemalloc.start()
+        try:
+            centers = kmeanspp_seed(pts, None, 5, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert centers.shape == (5, 50)
+        assert peak < 1.5 * pts.nbytes, f"peak {peak} bytes"
+
     def test_weight_proportional_first_center(self):
         pts = np.array([[0.0], [1.0]])
         weights = np.array([3.0, 1.0])

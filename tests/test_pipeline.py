@@ -1,10 +1,11 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from helpers import CountingIter
-from piecy import pipeline
+from piecy import mergereduce, pipeline
 from piecy.coreset import BicoEngine
 from piecy.evaluation import weighted_cost
 from piecy.mergereduce import MrConfig, run_piecy_mr
@@ -152,6 +153,37 @@ class TestPiecyStructure:
         assert {name for name, _ in made} == {"randomized_truncated_svd",
                                               "weighted_best_fit"}
         assert all(ref() is None for _, ref in made)
+
+    @pytest.mark.parametrize("algo", ["piecy", "piecy-mr"])
+    def test_piece_buffer_is_dropped_before_extraction(self, monkeypatch, algo):
+        """Extraction starts holding less than one piece: the piece buffer
+        (1000 x 600, 4.8 MB) is gone once the stream is read."""
+        piece_bytes = 1000 * 600 * 8
+        at_extraction = []
+
+        def traced(extract):
+            def call(self):
+                at_extraction.append(tracemalloc.get_traced_memory()[0])
+                return extract(self)
+            return call
+
+        pts = np.random.default_rng(8).normal(size=(2500, 600))  # 2 pieces + a tail
+        sizes = dict(k=2, piece_size=1000, svd_dim=5, coreset_size=50, seed=0)
+        tracemalloc.start()
+        try:
+            if algo == "piecy":
+                monkeypatch.setattr(pipeline.SpanEngine, "extract_coreset",
+                                    traced(pipeline.SpanEngine.extract_coreset))
+                coreset = run_piecy(iter(pts), 600, PiecyConfig(**sizes))
+            else:
+                monkeypatch.setattr(mergereduce.MergeReduceTree, "finalize",
+                                    traced(mergereduce.MergeReduceTree.finalize))
+                coreset = run_piecy_mr(iter(pts), 600, MrConfig(**sizes, num_pieces=4))
+        finally:
+            tracemalloc.stop()
+        assert coreset.total_weight == 2500
+        assert len(at_extraction) == 1
+        assert at_extraction[0] < piece_bytes, f"{at_extraction[0]} bytes held"
 
 
 class TestPiecyQuality:
