@@ -151,8 +151,7 @@ def _gen_config(args):
             seed=args.seed, **ranges)
     if family == "lb":
         return datagen.LowerBoundConfig(k=_require(args, "k", "--k"),
-                                        n=_require(args, "n", "--n"),
-                                        seed=args.seed, **ranges)
+                                        n=_require(args, "n", "--n"), **ranges)
     ranges.pop("noise", None)  # a uniform cube has no noise range
     return datagen.RandomConfig(n=_require(args, "n", "--n"), seed=args.seed, **ranges)
 

@@ -34,7 +34,8 @@ bootstrap locations. Norms and inner products are unchanged, so the engine
 goes on as if every point so far had arrived zero-padded. The pipelines
 use it to run an engine in the coordinates of a growing orthonormal basis
 of its inputs' span: new basis vectors are orthogonal to the old ones, so
-the points already absorbed have zero coordinates along them.
+the points already absorbed have zero coordinates along them; such an
+engine starts at dimension 0, before its basis has a column.
 
 Nearest-reference queries and s.x products are memoized under the point's
 bytes, not its identity, so a caller may refill one buffer between inserts.
@@ -56,6 +57,8 @@ from .streams import block_rows
 # At most this many bootstrap locations set a cold engine's starting threshold;
 # ``_min_pairwise_sq`` scans them in row blocks of ``streams.BLOCK_BYTES``.
 SAMPLE_CAP = 1001
+
+MAX_TOTAL_WEIGHT = int(np.iinfo(np.int64).max)  # coreset weights are int64
 
 
 def reject_infinite_norm(x: np.ndarray) -> None:
@@ -267,13 +270,14 @@ class BicoEngine:
     final threshold of an engine that summarized similar data), and
     otherwise comes from the spread of the first ``SAMPLE_CAP`` buffered
     locations: their smallest pairwise squared distance times budget / 16.
-    Any positive start works, because doubling self-corrects upward. One
-    writer per engine; extracted coresets are independent snapshots.
+    Any positive start works, because doubling self-corrects upward. ``dim``
+    may be 0, as the start of ``grow``. One writer per engine; extracted
+    coresets are independent snapshots.
     """
 
     def __init__(self, dim: int, budget: int, threshold: float = 0.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if dim < 0:
+            raise ValueError("dim must be >= 0")
         if budget < 1:
             raise ValueError("budget must be >= 1")
         if not 0.0 <= threshold < math.inf:
@@ -343,7 +347,10 @@ class BicoEngine:
         x_sq = float(x.dot(x))
         if not math.isfinite(x_sq):
             reject_infinite_norm(x)
-        self._total_weight += w
+        total = self._total_weight + w
+        if total > MAX_TOTAL_WEIGHT:
+            raise ValueError("total weight would overflow a coreset's int64 weights")
+        self._total_weight = total
         key = x.tobytes()
         if self._roots is None:
             self._bootstrap(x, w, key)

@@ -51,14 +51,12 @@ class LowerBoundConfig:
     """Nested-simplex instance: a k-vertex simplex scaled by ``spread`` in
     the first k dimensions, with an (n/k)-point simplex scaled by ``noise``
     placed at each vertex on disjoint blocks of the remaining n dimensions.
-    The construction is deterministic; ``seed`` is accepted for interface
-    symmetry only."""
+    The construction is deterministic."""
 
     k: int
     n: int
     spread: float = 1000.0
     noise: float = 100.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 2:

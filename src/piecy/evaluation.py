@@ -194,14 +194,13 @@ class CostSummary:
 
 
 def kmeans_repetitions(points, weights, k: int, reps: int = DEFAULT_REPETITIONS,
-                       seed: int = 0, max_iters: int = DEFAULT_MAX_ITERS,
-                       tol: float = DEFAULT_TOL):
+                       seed: int = 0):
     """Run seeding plus Lloyd ``reps`` times; each repetition owns an rng
     derived from (seed, repetition index). Returns [(centers, cost), ...]."""
     results = []
     for rep in range(reps):
         rng = np.random.default_rng(mix_seed(seed, rep))
         centers = kmeanspp_seed(points, weights, k, rng)
-        centers = lloyd_iterate(points, weights, centers, max_iters, tol)
+        centers = lloyd_iterate(points, weights, centers)
         results.append((centers, weighted_cost(points, weights, centers)))
     return results

@@ -65,10 +65,10 @@ class TreeStats(PipelineStats):
 
 
 class _Slot:
-    __slots__ = ("engine", "batches", "flushes", "threshold")
+    __slots__ = ("span", "batches", "flushes", "threshold")
 
     def __init__(self):
-        self.engine = None
+        self.span = None
         self.batches = 0
         self.flushes = 0
         self.threshold = 0.0  # final threshold of the level's last engine
@@ -84,10 +84,6 @@ class MergeReduceTree:
         self._cfg = cfg
         self._levels: list[_Slot] = []
         self.stats = TreeStats()
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def push_piece(self, piece) -> None:
         """Project one piece and feed it to level 0 with unit weights.
@@ -110,11 +106,11 @@ class MergeReduceTree:
         if level == len(self._levels):
             self._levels.append(_Slot())
         slot = self._levels[level]
-        if slot.engine is None:
-            slot.engine = SpanEngine(self._dim, self._cfg.coreset_size, slot.threshold)
-            live = sum(s.engine is not None for s in self._levels)
+        if slot.span is None:
+            slot.span = SpanEngine(self._dim, self._cfg.coreset_size, slot.threshold)
+            live = sum(s.span is not None for s in self._levels)
             self.stats.peak_live_engines = max(self.stats.peak_live_engines, live)
-        slot.engine.feed(block, weights, self._cfg, seed, self.stats)
+        slot.span.feed(block, weights, self._cfg, seed, self.stats)
         slot.batches += 1
         if slot.batches == self._cfg.num_pieces:
             self._flush(level)
@@ -122,9 +118,9 @@ class MergeReduceTree:
     def _flush(self, level: int) -> None:
         """Move one level's summary up: extract, reduce, insert weighted."""
         slot = self._levels[level]
-        summary = slot.engine.extract_coreset()
-        slot.threshold = slot.engine.threshold
-        slot.engine = None
+        summary = slot.span.extract_coreset()
+        slot.threshold = slot.span.engine.threshold
+        slot.span = None
         slot.batches = 0
         slot.flushes += 1
         self.stats.flush_sources.append(level)
@@ -138,11 +134,11 @@ class MergeReduceTree:
         not flushed again, its coreset is the result.
         """
         while True:
-            live = [i for i, s in enumerate(self._levels) if s.engine is not None]
+            live = [i for i, s in enumerate(self._levels) if s.span is not None]
             if not live:
                 return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
             if len(live) == 1:
-                return self._levels[live[0]].engine.extract_coreset()
+                return self._levels[live[0]].span.extract_coreset()
             self._flush(live[0])
 
 

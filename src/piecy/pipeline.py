@@ -113,7 +113,8 @@ class SpanEngine:
     only on inner products and distances between points, references and
     linear sums, all inside that span, so it runs in the coordinates of an
     orthonormal basis Q of the span and makes the same decisions up to
-    roundoff. Q grows by the part of each batch outside it; new columns are
+    roundoff. Q starts with no columns and the engine at dimension 0; Q
+    grows by the part of each batch outside it, and new columns are
     orthogonal to the old ones, so the engine grows by zero coordinates
     exactly (``BicoEngine.grow``). ``extract_coreset`` maps the summary back
     to the ambient dimension with one product by Q^T.
@@ -124,57 +125,20 @@ class SpanEngine:
     """
 
     def __init__(self, dim: int, budget: int, threshold: float = 0.0):
-        self._budget = budget
-        self._threshold = threshold
-        self._basis = np.zeros((dim, 0))
-        self.engine = None  # created by the first cover
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal (d, dim) basis of the span."""
-        return self._basis
-
-    @property
-    def dim(self) -> int:
-        """The engine's working dimension: the basis's column count."""
-        return self._basis.shape[1]
-
-    @property
-    def threshold(self) -> float:
-        """The engine's current threshold; the warm start before it exists."""
-        return self._threshold if self.engine is None else self.engine.threshold
+        self.basis = np.zeros((dim, 0))  # orthonormal columns spanning the inputs
+        self.engine = BicoEngine(0, budget, threshold)
 
     def cover(self, directions: np.ndarray) -> np.ndarray:
         """Extend the basis so its span contains the columns of ``directions``
         (d, p), grow the engine to match, and return the basis."""
-        basis = self._basis
+        basis = self.basis
         if basis.shape[1] == basis.shape[0]:
             return basis
         new = span_complement(basis, directions)
-        if new.shape[1] == 0 and self.engine is None:
-            # An all-zero first block spans nothing; the engine needs a coordinate.
-            new = np.eye(basis.shape[0], 1)
         if new.shape[1]:
-            basis = self._basis = np.hstack([basis, new])
-            if self.engine is None:
-                self.engine = BicoEngine(basis.shape[1], self._budget, self._threshold)
-            else:
-                self.engine.grow(basis.shape[1])
+            basis = self.basis = np.hstack([basis, new])
+            self.engine.grow(basis.shape[1])
         return basis
-
-    def coordinates(self, rows: np.ndarray) -> np.ndarray:
-        """Coordinates of unprojected rows, after covering their row space."""
-        return rows @ self.cover(rows.T)
-
-    def insert(self, coords: np.ndarray, weights=None) -> None:
-        """Insert rows given in span coordinates, with unit or given weights."""
-        engine = self.engine
-        if weights is None:
-            for i in range(coords.shape[0]):
-                engine.insert(coords[i])
-        else:
-            for i in range(coords.shape[0]):
-                engine.insert(coords[i], int(weights[i]))
 
     def feed(self, block: np.ndarray, weights, cfg: PiecyConfig, seed: int,
              stats: PipelineStats) -> None:
@@ -189,7 +153,7 @@ class SpanEngine:
         rows, dim = block.shape
         ell = cfg.svd_dim
         if ell >= dim or rows < ell:
-            coords = self.coordinates(block)
+            coords = block @ self.cover(block.T)
         else:
             oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
             trunc = SvdTruncation(ell, oversample, seed=seed)
@@ -201,14 +165,18 @@ class SpanEngine:
             coords = project(block, projector, self.cover(projector.vectors))
             stats.svd_seconds += time.perf_counter() - t0
             stats.svd_calls += 1
-        self.insert(coords, weights)
+        engine = self.engine
+        if weights is None:
+            for i in range(rows):
+                engine.insert(coords[i])
+        else:
+            for i in range(rows):
+                engine.insert(coords[i], int(weights[i]))
 
     def extract_coreset(self) -> Coreset:
         """The engine's coreset, in the ambient dimension."""
-        if self.engine is None:
-            return Coreset(np.zeros((0, self._basis.shape[0])), np.zeros(0, dtype=np.int64))
         coreset = self.engine.extract_coreset()
-        return Coreset(coreset.points @ self._basis.T, coreset.weights)
+        return Coreset(coreset.points @ self.basis.T, coreset.weights)
 
 
 def run_bico(points, dim: int, coreset_size: int) -> Coreset:

@@ -15,6 +15,8 @@ bin). ``BLOCK_BYTES`` is the one block size: the bin reader reads that many
 bytes at a time, and the full-cost pass buffers that many bytes of rows.
 """
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -147,9 +149,10 @@ class PointSource:
         return (point for point, _ in self)
 
 
-def _read_header(fh, path):
-    """Read and check a bin stream's header; the dimension, or None for an
-    empty file."""
+def _read_header(fh, path, weighted: bool):
+    """Read and check a bin stream's header; (dimension, record bytes), or
+    None for an empty file. A regular file whose payload is not a whole
+    number of records fails here, before any buffer is sized by d."""
     header = fh.read(_HEADER.size)
     if len(header) == 0:
         return None
@@ -162,21 +165,27 @@ def _read_header(fh, path):
         raise StreamFormatError(f"{path}: unsupported version {version}")
     if dim < 1:
         raise StreamFormatError(f"{path}: dimension {dim} in header")
-    return dim
+    rec_size = 8 * dim + 8 * weighted  # a u64 weight when weighted, then d float64s
+    info = os.fstat(fh.fileno())
+    tail = (info.st_size - _HEADER.size) % rec_size
+    if tail and stat.S_ISREG(info.st_mode):
+        raise StreamFormatError(f"{path}: truncated record at byte {info.st_size - tail}")
+    return dim, rec_size
 
 
 def _probe_dim(path, fmt: str, weighted: bool):
     if fmt == "bin":
         with open(path, "rb") as fh:
-            return _read_header(fh, path)
+            head = _read_header(fh, path, weighted)
+        return None if head is None else head[0]
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(",")
             dim = len(fields) - (1 if weighted else 0)
             if dim < 1:
-                raise StreamFormatError(f"{path}: line 1: no coordinates")
+                raise StreamFormatError(f"{path}: line {lineno}: no coordinates")
             return dim
     return None
 
@@ -213,14 +222,12 @@ def _read_csv(path, weighted: bool):
 
 def _read_bin(path, weighted: bool):
     with open(path, "rb") as fh:
-        dim = _read_header(fh, path)
-        if dim is None:
+        head = _read_header(fh, path, weighted)
+        if head is None:
             return
+        dim, rec_size = head
         if weighted:
-            rec_size = 8 + 8 * dim
             rec = np.dtype([("w", "<u8"), ("x", "<f8", (dim,))])
-        else:
-            rec_size = 8 * dim
         offset = _HEADER.size
         while True:
             raw = fh.read(rec_size * block_rows(rec_size))

@@ -1,9 +1,10 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from piecy import datagen
+from piecy import datagen, mergereduce, pipeline
 from piecy.cli import main
 from piecy.streams import PointSource
 
@@ -53,7 +54,7 @@ class TestGeneratorMode:
          datagen.SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
                            spread=3.0, noise=0.25, seed=5)),
         (("lb", "--k", "2", "--n", "6"), datagen.lower_bound,
-         datagen.LowerBoundConfig(k=2, n=6, spread=3.0, noise=0.25, seed=5)),
+         datagen.LowerBoundConfig(k=2, n=6, spread=3.0, noise=0.25)),
         (("random", "--n", "6"), datagen.random_cube,
          datagen.RandomConfig(n=6, spread=3.0, seed=5)),
     ])
@@ -309,6 +310,44 @@ class TestErrors:
         assert code == 2
         assert stdout == ""
         assert err == "error: point coordinates overflow\n"
+
+    @pytest.mark.parametrize("weights", [[2**62, 2**62], [10**20]])
+    def test_csv_weights_past_int64_are_rejected(self, tmp_path, capsys, weights):
+        path = tmp_path / "w.csv"
+        path.write_text("".join(f"{w},{i}.0\n" for i, w in enumerate(weights)))
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "1",
+                                    "--weighted", "--input", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "total weight" in err
+
+    def test_bin_weight_past_int64_is_rejected(self, tmp_path, capsys):
+        from piecy.streams import write_bin
+        path = tmp_path / "w.bin"
+        write_bin(path, [(np.array([1.0]), 2**63)], 1, weighted=True)  # fits in u64
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "1",
+                                    "--weighted", "--input", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "total weight" in err
+
+    @pytest.mark.parametrize("algo", ["bico", "piecy", "piecy-mr"])
+    def test_header_dimension_beyond_the_file_is_rejected_before_any_buffer(
+            self, tmp_path, capsys, monkeypatch, algo):
+        # 76 bytes whose header claims d = 2**26: one record would take 512 MiB,
+        # and a piece buffer piece_size times that.
+        path = tmp_path / "wide.bin"
+        path.write_bytes(struct.pack("<4sII", b"SCPT", 1, 2**26) + bytes(64))
+
+        def no_piece_buffer(*args):
+            raise AssertionError("a piece buffer was allocated")
+
+        monkeypatch.setattr(pipeline, "iter_pieces", no_piece_buffer)
+        monkeypatch.setattr(mergereduce, "iter_pieces", no_piece_buffer)
+        code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "1", "--input", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {path}: truncated record at byte 12\n"
 
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin

@@ -171,9 +171,36 @@ class TestEngineBasics:
         engine.insert(np.array([5.0, 6.0]), 2.0)
         assert engine.total_weight == 7
         with pytest.raises(ValueError):
-            BicoEngine(0, 4)
+            BicoEngine(-1, 4)
         with pytest.raises(ValueError):
             BicoEngine(2, 0)
+
+    def test_dimension_0_engine_grows_to_d(self):
+        engine = BicoEngine(0, 4)
+        engine.insert(np.zeros(0))
+        engine.insert(np.zeros(0), 2)
+        assert engine.num_features == 1
+        engine.grow(3)
+        engine.insert(np.array([1.0, 2.0, 3.0]))
+        coreset = engine.extract_coreset()
+        assert coreset.points.shape == (2, 3)
+        assert coreset.weights.tolist() == [3, 1]
+        assert coreset.points.tolist() == [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+
+    def test_total_weight_past_int64_is_rejected_before_any_change(self):
+        top = int(np.iinfo(np.int64).max)
+        with pytest.raises(ValueError, match="total weight"):
+            BicoEngine(1, 4).insert(np.ones(1), 10**20)
+        engine = BicoEngine(2, 4)
+        engine.insert(np.array([1.0, 2.0]), 2**62)
+        with pytest.raises(ValueError, match="total weight"):
+            engine.insert(np.array([3.0, 4.0]), 2**62)
+        assert engine.total_weight == 2**62
+        assert engine.num_features == 1
+        engine.insert(np.array([3.0, 4.0]), top - 2**62)
+        coreset = engine.extract_coreset()
+        assert coreset.weights.tolist() == [2**62, top - 2**62]
+        assert coreset.total_weight == top
 
     def test_rejects_reused_buffer_mutated_to_nan(self):
         rng = np.random.default_rng(5)

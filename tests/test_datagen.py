@@ -56,7 +56,7 @@ class TestStructuredWithNoise:
 
 
 class TestLowerBound:
-    CFG = LowerBoundConfig(k=5, n=50, seed=0)
+    CFG = LowerBoundConfig(k=5, n=50)
 
     def test_shape_and_support(self):
         cfg = self.CFG

@@ -191,7 +191,7 @@ def level_engines(monkeypatch):
 
     def recording_init(self, *args):
         init(self, *args)
-        log.append((feeding[-1], self, self.threshold))
+        log.append((feeding[-1], self, self.engine.threshold))
 
     monkeypatch.setattr(MergeReduceTree, "_feed", recording_feed)
     monkeypatch.setattr(SpanEngine, "__init__", recording_init)
@@ -217,7 +217,7 @@ class TestThresholdCarry:
         for level, span, start in level_engines:
             assert start == last_final.get(level, 0.0)
             carried += start > 0.0
-            last_final[level] = span.threshold
+            last_final[level] = span.engine.threshold
         assert len(last_final) == 4
         assert carried >= 8
 

@@ -13,7 +13,8 @@ from piecy.coreset import BicoEngine
 from piecy.linalg import (DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERATIONS, SvdTruncation,
                           project, randomized_truncated_svd, weighted_best_fit)
 from piecy.mergereduce import MrConfig, run_piecy_mr
-from piecy.pipeline import PiecyConfig, SpanEngine, iter_pieces, run_piecy, span_complement
+from piecy.pipeline import (PiecyConfig, PipelineStats, SpanEngine, iter_pieces, run_piecy,
+                            span_complement)
 from piecy.util import MASK64, mix_seed
 
 # Fixed before the comparisons were first run: a few hundred roundoff
@@ -110,11 +111,12 @@ def span_log(monkeypatch):
         self.batches_seen = getattr(self, "batches_seen", 0) + 1
         d = block.shape[1]
         basis = self.basis
-        assert basis.shape == (d, self.dim)
+        dim = self.engine.dim
+        assert basis.shape == (d, dim)
         gram = basis.T @ basis
-        assert np.abs(gram - np.eye(self.dim)).max() <= ORTHO_TOL
-        assert self.dim <= min(d, self.batches_seen * cfg.svd_dim)
-        log.append((self.dim, d))
+        assert np.abs(gram - np.eye(dim)).max(initial=0.0) <= ORTHO_TOL
+        assert dim <= min(d, self.batches_seen * cfg.svd_dim)
+        log.append((dim, d))
 
     monkeypatch.setattr(SpanEngine, "feed", checked_feed)
     return log
@@ -126,19 +128,30 @@ def clustered(rng, n, dim, centers=6):
 
 
 # (n, d, piece_size, svd_dim): several pieces; a raw tail shorter than the
-# rank; svd_dim == d; more than d / svd_dim pieces, so the span saturates.
+# rank; svd_dim == d; more than d / svd_dim pieces, so the span saturates;
+# an all-zero first piece, which spans nothing, raw and projected.
 STREAMS = {
     "several-pieces": (240, 20, 60, 4),
     "raw-tail": (182, 20, 60, 4),
     "rank-equals-dim": (150, 6, 50, 6),
     "saturated": (400, 9, 40, 2),
+    "zero-first-raw": (150, 6, 50, 6),
+    "zero-first-projected": (240, 20, 60, 4),
 }
+
+
+def stream_data(name, seed):
+    n, d, piece, _ = STREAMS[name]
+    data = clustered(np.random.default_rng(seed), n, d)
+    if name.startswith("zero-first"):
+        data[:piece] = 0.0
+    return data
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_piecy_matches_ambient_reference(name, span_log):
     n, d, piece, ell = STREAMS[name]
-    data = clustered(np.random.default_rng(n + d), n, d)
+    data = stream_data(name, n + d)
     cfg = PiecyConfig(k=3, piece_size=piece, svd_dim=ell, coreset_size=25, seed=5)
     got = run_piecy(iter(data), d, cfg)
     assert_same_coreset(got, reference_piecy(iter(data), d, cfg))
@@ -146,12 +159,14 @@ def test_piecy_matches_ambient_reference(name, span_log):
     assert span_log
     if name == "saturated":
         assert span_log[-1] == (d, d)
+    if name == "zero-first-raw":
+        assert span_log[0] == (0, d)
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_piecy_mr_matches_ambient_reference(name, span_log):
     n, d, piece, ell = STREAMS[name]
-    data = clustered(np.random.default_rng(n * d), n, d)
+    data = stream_data(name, n * d)
     cfg = MrConfig(k=3, piece_size=piece, num_pieces=2, svd_dim=ell,
                    coreset_size=25, seed=6)
     got = run_piecy_mr(iter(data), d, cfg)
@@ -170,10 +185,12 @@ def test_piecy_mr_level_engine_saturates(span_log):
 
 
 class TestSpanEngine:
-    def test_all_zero_first_block_gets_one_coordinate(self):
+    def test_all_zero_first_block_leaves_dimension_0(self):
         span = SpanEngine(5, 10)
-        span.insert(span.coordinates(np.zeros((2, 5))))
-        assert span.dim == 1
+        cfg = PiecyConfig(k=1, svd_dim=5, coreset_size=10)
+        span.feed(np.zeros((2, 5)), None, cfg, 0, PipelineStats())
+        assert span.engine.dim == 0
+        assert span.basis.shape == (5, 0)
         coreset = span.extract_coreset()
         assert coreset.points.shape == (1, 5)
         assert coreset.weights.tolist() == [2]
@@ -182,6 +199,11 @@ class TestSpanEngine:
     def test_empty_engine_extracts_empty_ambient_coreset(self):
         coreset = SpanEngine(7, 10).extract_coreset()
         assert coreset.points.shape == (0, 7)
+
+    def test_warm_start_is_the_engines_threshold_before_any_feed(self):
+        span = SpanEngine(7, 10, 2.5)
+        assert span.engine.threshold == 2.5
+        assert span.engine.dim == 0
 
     def test_dependent_directions_add_nothing(self):
         rng = np.random.default_rng(8)
@@ -213,6 +235,6 @@ class TestSpanEngine:
         rng = np.random.default_rng(9)
         span = SpanEngine(12, 50)
         low = rng.normal(size=(5, 12))
-        coords = span.coordinates(low)
-        assert span.dim == 5
-        assert np.allclose(coords @ span.basis.T, low, rtol=0, atol=1e-12)
+        basis = span.cover(low.T)
+        assert span.engine.dim == 5
+        assert np.allclose((low @ basis) @ basis.T, low, rtol=0, atol=1e-12)

@@ -57,6 +57,12 @@ class TestCsv:
         with pytest.raises(StreamFormatError, match="line 2"):
             list(PointSource(str(path), "csv"))
 
+    def test_first_line_without_coordinates_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\n5\n")
+        with pytest.raises(StreamFormatError, match="line 3: no coordinates"):
+            PointSource(str(path), "csv", weighted=True)
+
     def test_nonpositive_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n")
@@ -134,6 +140,16 @@ class TestBin:
         path.write_bytes(raw[:-5])  # cut into the last record
         with pytest.raises(StreamFormatError, match="byte"):
             list(PointSource(str(path), "bin"))
+
+    def test_partial_record_is_rejected_when_the_source_opens(self, tmp_path):
+        path = tmp_path / "part.bin"
+        write_bin(path, [(np.array([1.0, 2.0]), 3)], 2, weighted=True)
+        raw = path.read_bytes()
+        path.write_bytes(raw + raw[12:20])  # a second record cut after its weight
+        with pytest.raises(StreamFormatError, match="truncated record at byte 36$"):
+            PointSource(str(path), "bin", weighted=True)
+        # Read unweighted, the same 32 payload bytes are two whole records.
+        assert len(list(PointSource(str(path), "bin"))) == 2
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.bin"
