@@ -5,9 +5,8 @@ from .coreset import (BicoEngine, ClusteringFeature, Coreset,
                       insertion_error_increment, max_insertable_copies)
 from .datagen import (LowerBoundConfig, RandomConfig, SwnConfig, lower_bound,
                       random_cube, structured_with_noise)
-from .evaluation import (CostSummary, evaluate_cost, evaluate_cost_multi,
-                         kmeans_repetitions, kmeanspp_seed, lloyd_iterate,
-                         weighted_cost)
+from .evaluation import (CostSummary, evaluate_cost_multi, kmeans_repetitions,
+                         kmeanspp_seed, lloyd_iterate, weighted_cost)
 from .linalg import (Projector, SvdTruncation, exact_truncated_svd, project,
                      randomized_truncated_svd, reconstruction_error, spectrum,
                      weighted_best_fit)
@@ -22,7 +21,7 @@ __all__ = [
     "insertion_error_increment", "max_insertable_copies",
     "LowerBoundConfig", "RandomConfig", "SwnConfig",
     "lower_bound", "random_cube", "structured_with_noise",
-    "CostSummary", "evaluate_cost", "evaluate_cost_multi",
+    "CostSummary", "evaluate_cost_multi",
     "kmeans_repetitions", "kmeanspp_seed", "lloyd_iterate", "weighted_cost",
     "Projector", "SvdTruncation", "exact_truncated_svd", "project",
     "randomized_truncated_svd", "reconstruction_error", "spectrum",

@@ -282,8 +282,7 @@ def _run_pipeline(args) -> int:
 
     if args.out:
         fmt = _guess_format(args.out, args.format if args.input is None else None)
-        write_stream(args.out, zip(coreset.points, coreset.weights),
-                     source.dim, fmt, weighted=True)
+        write_stream(args.out, coreset, source.dim, fmt, weighted=True)
 
     entries = [
         ("report_version", REPORT_VERSION),

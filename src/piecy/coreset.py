@@ -111,10 +111,6 @@ class ClusteringFeature:
         x = np.asarray(point, dtype=np.float64)
         return cls(weight, weight * x, weight * float(x @ x), x.copy())
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.linear_sum / self.weight
-
     def internal_error(self) -> float:
         """SSE of the represented multiset to its own centroid: q - |s|^2/n,
         clamped at zero against roundoff."""
@@ -130,15 +126,6 @@ class ClusteringFeature:
                 + self.weight * float(c @ c))
         return cost if cost > 0.0 else 0.0
 
-    def merged_with(self, other: "ClusteringFeature") -> "ClusteringFeature":
-        """Componentwise merge; the reference point of ``self`` is kept."""
-        return ClusteringFeature(
-            self.weight + other.weight,
-            self.linear_sum + other.linear_sum,
-            self.square_sum + other.square_sum,
-            self.reference.copy(),
-        )
-
 
 @dataclass
 class Coreset:
@@ -152,10 +139,6 @@ class Coreset:
 
     def __iter__(self):
         return zip(self.points, self.weights)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     @property
     def total_weight(self) -> int:
@@ -294,10 +277,6 @@ class BicoEngine:
     @property
     def dim(self) -> int:
         return self._dim
-
-    @property
-    def budget(self) -> int:
-        return self._budget
 
     @property
     def total_weight(self) -> int:

@@ -67,10 +67,6 @@ class LowerBoundConfig:
             raise ValueError("need spread > noise > 0")
 
     @property
-    def n_points(self) -> int:
-        return self.n
-
-    @property
     def dim(self) -> int:
         return self.k + self.n
 
@@ -89,10 +85,6 @@ class RandomConfig:
             raise ValueError("n must be >= 1")
         if self.spread <= 0:
             raise ValueError("spread must be positive")
-
-    @property
-    def n_points(self) -> int:
-        return self.n
 
     @property
     def dim(self) -> int:

@@ -150,11 +150,6 @@ def weighted_cost(points, weights, centers) -> float:
     return float(w @ sq_distances(pts, ctr).min(axis=1))
 
 
-def evaluate_cost(centers, point_stream) -> float:
-    """Unweighted SSE of a stream against its nearest center, in one pass."""
-    return evaluate_cost_multi([centers], point_stream)[0]
-
-
 def evaluate_cost_multi(center_sets, point_stream) -> list:
     """Streaming SSE of the same stream against several center sets at once.
 

@@ -67,14 +67,6 @@ class Projector:
         self.vectors.setflags(write=False)
         self.singular_values.setflags(write=False)
 
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column nonnegative."""

@@ -11,8 +11,9 @@ projector exists at any time.
 Every block, stream piece or flushed summary, goes in through
 ``SpanEngine.feed``, the same projected-block feed ``run_piecy`` uses, so a
 tree that never flushes reproduces ``run_piecy`` exactly. ``MrConfig`` is
-``PiecyConfig`` plus ``num_pieces``, and ``TreeStats`` is ``PipelineStats``
-plus the flush schedule and the live-engine peak.
+``PiecyConfig`` plus ``num_pieces``, and the tree counts its work in the
+same ``PipelineStats`` record, whose flush schedule and live-engine peak
+only the tree fills in.
 
 Each level's engine keeps its points in span coordinates (``SpanEngine``):
 it works in an orthonormal basis of the span of the projector bases it has
@@ -32,7 +33,7 @@ down, as it never would in one engine over the level's whole input, and
 doubling still corrects it upward.
 """
 
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -56,14 +57,6 @@ class MrConfig(PiecyConfig):
             raise ValueError("num_pieces must be >= 2")
 
 
-@dataclass
-class TreeStats(PipelineStats):
-    """``PipelineStats`` plus the flush schedule and the live-engine peak."""
-
-    flush_sources: list = field(default_factory=list)  # level flushed, in order
-    peak_live_engines: int = 0
-
-
 class _Slot:
     __slots__ = ("span", "batches", "flushes", "threshold")
 
@@ -83,7 +76,7 @@ class MergeReduceTree:
         self._dim = dim
         self._cfg = cfg
         self._levels: list[_Slot] = []
-        self.stats = TreeStats()
+        self.stats = PipelineStats()
 
     def push_piece(self, piece) -> None:
         """Project one piece and feed it to level 0 with unit weights.

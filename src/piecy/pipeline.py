@@ -19,7 +19,7 @@ the extracted coreset is mapped back to the ambient dimension once.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,11 +75,15 @@ class PiecyConfig:
 
 @dataclass
 class PipelineStats:
-    """Instrumentation counters filled in by the projected pipelines."""
+    """Instrumentation counters filled in by the projected pipelines. The
+    last two are the merge-and-reduce tree's; ``run_piecy`` leaves them
+    empty."""
 
     pieces: int = 0
     svd_calls: int = 0
     svd_seconds: float = 0.0
+    flush_sources: list = field(default_factory=list)  # level flushed, in order
+    peak_live_engines: int = 0
 
 
 def span_complement(basis: np.ndarray, directions: np.ndarray) -> np.ndarray:

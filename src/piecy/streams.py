@@ -2,8 +2,9 @@
 
 Two formats are supported:
 
-* ``csv``  — one point per line, comma-separated decimal fields. The
-  weighted variant puts an integer weight in the leading column.
+* ``csv``  — one point per line, comma-separated decimal fields (no ``_``
+  digit separators). The weighted variant puts an integer weight in the
+  leading column.
 * ``bin``  — magic ``SCPT``, little-endian u32 version (currently 1),
   little-endian u32 dimension, then one record per point: d little-endian
   float64 coordinates. The weighted variant prefixes each record with a
@@ -11,8 +12,10 @@ Two formats are supported:
 
 Binary round-trips are bitwise exact. Readers stream in bounded memory and
 report the first malformed position (1-based line for csv, byte offset for
-bin). ``BLOCK_BYTES`` is the one block size: the bin reader reads that many
-bytes at a time, and the full-cost pass buffers that many bytes of rows.
+bin). A ``PointSource`` opens its file once to learn d and once per pass,
+so it takes only a regular file, never a pipe. ``BLOCK_BYTES`` is the one
+block size: the bin reader reads that many bytes at a time, and the
+full-cost pass buffers that many bytes of rows.
 """
 
 import os
@@ -39,7 +42,7 @@ def block_rows(row_bytes: int) -> int:
 
 
 class StreamFormatError(ValueError):
-    """Malformed stream file; the message names the offending position."""
+    """Malformed or unusable stream file; the message names the offending position."""
 
 
 def _format_float(v: float) -> str:
@@ -135,6 +138,9 @@ class PointSource:
     def __post_init__(self):
         if self.fmt not in FORMATS:
             raise StreamFormatError(f"unknown format {self.fmt!r}")
+        if not stat.S_ISREG(os.stat(self.path).st_mode):
+            raise StreamFormatError(
+                f"{self.path}: not a regular file; the stream is read more than once")
         self.dim = _probe_dim(self.path, self.fmt, self.weighted)
 
     def __iter__(self) -> Iterator:
@@ -151,8 +157,8 @@ class PointSource:
 
 def _read_header(fh, path, weighted: bool):
     """Read and check a bin stream's header; (dimension, record bytes), or
-    None for an empty file. A regular file whose payload is not a whole
-    number of records fails here, before any buffer is sized by d."""
+    None for an empty file. A file whose payload is not a whole number of
+    records fails here, before any buffer is sized by d."""
     header = fh.read(_HEADER.size)
     if len(header) == 0:
         return None
@@ -166,28 +172,24 @@ def _read_header(fh, path, weighted: bool):
     if dim < 1:
         raise StreamFormatError(f"{path}: dimension {dim} in header")
     rec_size = 8 * dim + 8 * weighted  # a u64 weight when weighted, then d float64s
-    info = os.fstat(fh.fileno())
-    tail = (info.st_size - _HEADER.size) % rec_size
-    if tail and stat.S_ISREG(info.st_mode):
-        raise StreamFormatError(f"{path}: truncated record at byte {info.st_size - tail}")
+    size = os.fstat(fh.fileno()).st_size
+    tail = (size - _HEADER.size) % rec_size
+    if tail:
+        raise StreamFormatError(f"{path}: truncated record at byte {size - tail}")
     return dim, rec_size
 
 
 def _probe_dim(path, fmt: str, weighted: bool):
+    """The stream's dimension, or None when it is empty: from the bin
+    header, or from the first record the csv reader yields."""
     if fmt == "bin":
         with open(path, "rb") as fh:
             head = _read_header(fh, path, weighted)
         return None if head is None else head[0]
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(",")
-            dim = len(fields) - (1 if weighted else 0)
-            if dim < 1:
-                raise StreamFormatError(f"{path}: line {lineno}: no coordinates")
-            return dim
-    return None
+    records = _read_csv(path, weighted)
+    first = next(records, None)
+    records.close()
+    return None if first is None else (first[0] if weighted else first).shape[0]
 
 
 def _read_csv(path, weighted: bool):
@@ -196,6 +198,8 @@ def _read_csv(path, weighted: bool):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if "_" in line:  # int and float would read it as a digit separator
+                raise StreamFormatError(f"{path}: line {lineno}: '_' in a field")
             fields = line.rstrip("\n").split(",")
             try:
                 if weighted:
@@ -207,6 +211,8 @@ def _read_csv(path, weighted: bool):
                 raise StreamFormatError(f"{path}: line {lineno}: {exc}") from exc
             if dim is None:
                 dim = coords.shape[0]
+                if dim < 1:
+                    raise StreamFormatError(f"{path}: line {lineno}: no coordinates")
             elif coords.shape[0] != dim:
                 raise StreamFormatError(
                     f"{path}: line {lineno}: expected {dim} coordinates, "

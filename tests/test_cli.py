@@ -1,10 +1,11 @@
+import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from piecy import datagen, mergereduce, pipeline
+from piecy import datagen, mergereduce, pipeline, streams
 from piecy.cli import main
 from piecy.streams import PointSource
 
@@ -348,6 +349,21 @@ class TestErrors:
         assert code == 2
         assert stdout == ""
         assert err == f"error: {path}: truncated record at byte 12\n"
+
+    def test_pipe_input_is_rejected_before_it_is_opened(self, tmp_path, capsys,
+                                                        monkeypatch):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def refuse_open(*args, **kwargs):
+            raise AssertionError("the pipe was opened")
+
+        monkeypatch.setattr(streams, "open", refuse_open, raising=False)
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "3",
+                                    "--input", str(path), "--format", "bin")
+        assert code == 2
+        assert stdout == ""
+        assert "not a regular file" in err
 
     def test_truncated_bin_reports_byte(self, tmp_path, capsys):
         from piecy.streams import write_bin

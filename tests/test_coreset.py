@@ -85,15 +85,6 @@ class TestClusteringFeature:
         heavy = ClusteringFeature.from_point(np.array([1.0, 1.0]), 3)
         assert heavy.internal_error() == pytest.approx(0.0, abs=1e-12)
 
-    def test_merge_adds_componentwise(self):
-        a = ClusteringFeature.from_point(np.array([1.0, 0.0]), 2)
-        b = ClusteringFeature.from_point(np.array([0.0, 2.0]), 3)
-        m = a.merged_with(b)
-        assert m.weight == 5
-        assert np.allclose(m.linear_sum, [2.0, 6.0])
-        assert m.square_sum == pytest.approx(2.0 + 12.0)
-        assert np.array_equal(m.reference, a.reference)
-
     def test_cost_dimension_mismatch(self):
         cf = ClusteringFeature.from_point(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

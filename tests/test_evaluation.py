@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from piecy.evaluation import (CostSummary, evaluate_cost, evaluate_cost_multi,
-                              kmeans_repetitions, kmeanspp_seed, lloyd_iterate,
-                              weighted_cost)
+from piecy.evaluation import (CostSummary, evaluate_cost_multi, kmeans_repetitions,
+                              kmeanspp_seed, lloyd_iterate, weighted_cost)
 from piecy.streams import BLOCK_BYTES
 
 
@@ -123,18 +122,18 @@ class TestLloyd:
 class TestCostEvaluation:
     def test_centers_at_all_points(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert evaluate_cost(pts, iter(pts)) == 0.0
+        assert evaluate_cost_multi([pts], iter(pts))[0] == 0.0
 
     def test_single_center_two_points(self):
         pts = [np.array([0.0, 0.0]), np.array([3.0, 4.0])]
         center = np.array([[0.0, 0.0]])
-        assert evaluate_cost(center, iter(pts)) == pytest.approx(25.0)
+        assert evaluate_cost_multi([center], iter(pts))[0] == pytest.approx(25.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(1000, 5))
         centers = rng.normal(size=(7, 5))
-        got = evaluate_cost(centers, iter(pts))
+        got = evaluate_cost_multi([centers], iter(pts))[0]
         want = sum(min(float((x - c) @ (x - c)) for c in centers) for x in pts)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -143,7 +142,7 @@ class TestCostEvaluation:
         pts = rng.normal(size=(200, 4))
         sets = [rng.normal(size=(3, 4)) for _ in range(3)]
         multi = evaluate_cost_multi(sets, iter(pts))
-        single = [evaluate_cost(c, iter(pts)) for c in sets]
+        single = [evaluate_cost_multi([c], iter(pts))[0] for c in sets]
         assert np.allclose(multi, single, rtol=1e-12)
 
     def test_weighted_cost_equals_unit_expansion(self):

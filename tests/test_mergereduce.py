@@ -7,7 +7,7 @@ from helpers import CountingIter
 from piecy.datagen import SwnConfig, structured_with_noise
 from piecy.evaluation import evaluate_cost_multi, kmeans_repetitions, weighted_cost
 from piecy.mergereduce import MergeReduceTree, MrConfig, run_piecy_mr
-from piecy.pipeline import PiecyConfig, SpanEngine, run_bico, run_piecy
+from piecy.pipeline import PiecyConfig, PipelineStats, SpanEngine, run_bico, run_piecy
 
 
 def push_rows(tree, rows, piece_size):
@@ -42,6 +42,7 @@ class TestFlushSchedule:
                        coreset_size=5, seed=1)
         tree = MergeReduceTree(6, cfg)
         push_rows(tree, rows, 5)
+        assert type(tree.stats) is PipelineStats  # the record run_piecy fills
         assert tree.stats.pieces == 9
         assert tree.stats.flush_sources == [0, 0, 0, 1]
         assert tree.stats.peak_live_engines == 2

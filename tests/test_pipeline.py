@@ -62,6 +62,7 @@ class TestPiecyStructure:
         coreset = run_piecy(iter(pts), 10, cfg, stats)
         assert stats.svd_calls == 1
         assert stats.pieces == 1
+        assert (stats.flush_sources, stats.peak_live_engines) == ([], 0)  # the tree's
         assert len(coreset) <= 30
         assert coreset.total_weight == 60
 

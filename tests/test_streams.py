@@ -1,8 +1,29 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from piecy import streams
 from piecy.streams import (PointSource, StreamFormatError, write_bin, write_csv,
                            write_stream)
+
+
+def refuse_open(*args, **kwargs):
+    raise AssertionError("the stream was opened")
+
+
+@st.composite
+def csv_records(draw):
+    """(rows, weights or None, leading blank lines) for one csv file."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 6))
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [draw(st.lists(coord, min_size=dim, max_size=dim)) for _ in range(count)]
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 2**63 - 1),
+                                                 min_size=count, max_size=count)))
+    return rows, weights, draw(st.integers(0, 3))
 
 
 class TestCsv:
@@ -62,6 +83,46 @@ class TestCsv:
         path.write_text("\n\n5\n")
         with pytest.raises(StreamFormatError, match="line 3: no coordinates"):
             PointSource(str(path), "csv", weighted=True)
+        # The reader is the one place that rejects it, the probe included.
+        with pytest.raises(StreamFormatError, match="line 3: no coordinates"):
+            list(streams._read_csv(str(path), True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=csv_records())
+    def test_written_records_roundtrip_through_the_source(self, tmp_path_factory, records):
+        rows, weights, blank = records
+        path = tmp_path_factory.mktemp("csv") / "pts.csv"
+        weighted = weights is not None
+        write_csv(path, zip(rows, weights) if weighted else rows, weighted=weighted)
+        path.write_text("\n" * blank + path.read_text())
+        src = PointSource(str(path), "csv", weighted=weighted)
+        back = list(src)
+        assert len(back) == len(rows)
+        for item, row, weight in zip(back, rows, weights or [None] * len(rows)):
+            point = item[0] if weighted else item
+            assert src.dim == point.shape[0] == len(row)
+            assert point.tolist() == row
+            if weighted:
+                assert item[1] == weight
+
+    @pytest.mark.parametrize("weighted, text, line", [
+        (True, "1_000,2.0\n3,4.0\n", 1),
+        (True, "3,4.0\n1_000,2.0\n", 2),
+        (False, "1.0,2_0.5\n3.0,4.0\n", 1),
+        (False, "3.0,4.0\n\n1_0,2.0\n", 3),
+    ], ids=["weighted-first", "weighted-later", "unweighted-first", "unweighted-later"])
+    def test_digit_separator_is_rejected_naming_its_line(self, tmp_path, weighted,
+                                                         text, line):
+        path = tmp_path / "sep.csv"
+        path.write_text(text)
+        match = f"line {line}: '_' in a field"
+        if line == 1:  # the first record is read when the source opens
+            with pytest.raises(StreamFormatError, match=match):
+                PointSource(str(path), "csv", weighted=weighted)
+        else:
+            src = PointSource(str(path), "csv", weighted=weighted)
+            with pytest.raises(StreamFormatError, match=match):
+                list(src)
 
     def test_nonpositive_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -174,6 +235,20 @@ class TestBin:
         back = np.stack(list(PointSource(str(path), "bin")))
         direct = np.stack(list(structured_with_noise(cfg)))
         assert np.array_equal(back, direct)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_pipe_is_rejected_before_it_is_opened(self, tmp_path, monkeypatch, fmt):
+        # A pipe's data would be used up by the probe, before the pass.
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        monkeypatch.setattr(streams, "open", refuse_open, raising=False)
+        with pytest.raises(StreamFormatError, match="not a regular file"):
+            PointSource(str(path), fmt)
+
+    def test_link_to_a_regular_file_is_accepted(self, tmp_path):
+        write_bin(tmp_path / "one.bin", [np.array([1.0, 2.0])], 2)
+        os.symlink(tmp_path / "one.bin", tmp_path / "link")
+        assert len(list(PointSource(str(tmp_path / "link"), "bin"))) == 1
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
