@@ -68,13 +68,6 @@ def reject_infinite_norm(x: np.ndarray) -> None:
     raise ValueError("point coordinates overflow")
 
 
-def insertion_error_increment(group_weight: int, copies: int, dist_sq: float) -> float:
-    """Exact SSE increase from adding ``copies`` copies of one point at squared
-    distance ``dist_sq`` from the centroid of a group of total weight
-    ``group_weight``: s*w/(s+w) * dist_sq."""
-    return group_weight * copies / (group_weight + copies) * dist_sq
-
-
 def max_insertable_copies(group_weight: int, copies: int, cur_error: float,
                           threshold: float, dist_sq: float) -> int:
     """Largest w' <= copies keeping cur_error + s*w'/(s+w')*dist_sq <= threshold.

@@ -16,6 +16,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not a 128-bit Philox key, before any point is made."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 @dataclass(frozen=True)
 class SwnConfig:
     """Hidden-cluster instance: ``clusters`` point sets of
@@ -40,6 +46,7 @@ class SwnConfig:
             raise ValueError("active_dims must be in [1, dim]")
         if not self.spread > self.noise > 0:
             raise ValueError("need spread > noise > 0")
+        _check_seed(self.seed)
 
     @property
     def n_points(self) -> int:
@@ -85,6 +92,7 @@ class RandomConfig:
             raise ValueError("n must be >= 1")
         if self.spread <= 0:
             raise ValueError("spread must be positive")
+        _check_seed(self.seed)
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels for stream summarization.
 
-Provides exact and randomized truncated SVD, projection onto the spanned
-best-fit subspace, a weighted variant that reproduces the subspace of a
-row-duplicated matrix, and top singular value extraction. Points are stored
-one per row throughout. Each SVD backend ends in one dense thin SVD: of the
-matrix itself (exact) or of its projection onto a Gaussian sketch of the
-column space (randomized).
+Provides the randomized truncated SVD (Halko, Martinsson and Tropp, SIAM
+Review 2011), projection onto its best-fit subspace, and a weighted variant
+that reproduces the subspace of a row-duplicated matrix. Points are stored
+one per row throughout. The decomposition ends in one dense thin SVD, of
+the matrix's projection onto a Gaussian sketch of its column space; a
+sketch as wide as the matrix's smaller side spans the whole column space,
+so the result is then exact up to roundoff.
 
 Every operation is pure with respect to its inputs and Projector values are
 immutable once built, so results can move freely between threads.
@@ -17,9 +18,6 @@ import numpy as np
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERATIONS = 2
-
-#: Entry-count guard for the dense exact decomposition (oracle scale).
-EXACT_ENTRY_LIMIT = 4_000_000
 
 #: Singular values below this fraction of the largest one are clamped to 0.
 _SIGMA_CLIP = 1e-12
@@ -88,27 +86,6 @@ def _clip_small(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def exact_truncated_svd(a, rank: int, *, max_entries: int = EXACT_ENTRY_LIMIT) -> Projector:
-    """Top-``rank`` right singular vectors and values from one dense thin SVD.
-
-    The small-scale reference backend; refuses inputs above ``max_entries``
-    total entries. A rank above the matrix's own rank returns orthonormal
-    vectors whose singular values clip to 0.
-    """
-    mat = as_matrix(a)
-    rows, cols = mat.shape
-    if rank < 1 or rank > min(rows, cols):
-        raise ValueError(f"rank {rank} out of range for a {rows}x{cols} matrix")
-    if rows * cols > max_entries:
-        raise ValueError(
-            f"matrix with {rows * cols} entries exceeds the exact-backend "
-            f"limit of {max_entries}"
-        )
-
-    _, sigma, vt = np.linalg.svd(mat, full_matrices=False)
-    return Projector(_fix_signs(vt[:rank].T), _clip_small(sigma[:rank]))
-
-
 def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     """Approximate top-``rank`` Projector via Gaussian sketching.
 
@@ -136,14 +113,11 @@ def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     return Projector(_fix_signs(vt[:ell].T), _clip_small(sigma[:ell]))
 
 
-def project(a, projector: Projector, basis: np.ndarray | None = None) -> np.ndarray:
-    """Project rows of ``a`` onto the subspace: returns A V V^T.
-
-    The output keeps the ambient dimension; only the intrinsic dimension
-    drops to the projector's rank. With ``basis``, a (d, m) matrix with
-    orthonormal columns whose span contains the subspace, the result is the
-    projected rows' coordinates in that basis, (A V)(V^T Q) = (A V V^T) Q,
-    computed without forming the d-dimensional rows.
+def project(a, projector: Projector, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of the rows of ``a``, projected onto the subspace, in
+    ``basis``: a (d, m) matrix with orthonormal columns whose span contains
+    the subspace. The result is (A V)(V^T Q) = (A V V^T) Q, computed without
+    forming the d-dimensional projected rows.
     """
     mat = as_matrix(a)
     v = projector.vectors
@@ -151,8 +125,6 @@ def project(a, projector: Projector, basis: np.ndarray | None = None) -> np.ndar
         raise ValueError(
             f"matrix has {mat.shape[1]} columns but the projector expects {v.shape[0]}"
         )
-    if basis is None:
-        return (mat @ v) @ v.T
     if basis.shape[0] != v.shape[0]:
         raise ValueError(
             f"basis has {basis.shape[0]} rows but the projector expects {v.shape[0]}"
@@ -160,15 +132,7 @@ def project(a, projector: Projector, basis: np.ndarray | None = None) -> np.ndar
     return (mat @ v) @ (v.T @ basis)
 
 
-def reconstruction_error(a, projector: Projector) -> float:
-    """Squared Frobenius norm of A minus its projection."""
-    mat = as_matrix(a)
-    resid = mat - project(mat, projector)
-    return float(np.einsum("ij,ij->", resid, resid))
-
-
-def weighted_best_fit(points, weights, trunc: SvdTruncation, *, exact: bool = False,
-                      max_entries: int = EXACT_ENTRY_LIMIT) -> Projector:
+def weighted_best_fit(points, weights, trunc: SvdTruncation) -> Projector:
     """Best-fit subspace of the multiset where row i appears ``weights[i]``
     times, computed without materializing the duplicates.
 
@@ -181,30 +145,7 @@ def weighted_best_fit(points, weights, trunc: SvdTruncation, *, exact: bool = Fa
     w = np.asarray(weights)
     if w.ndim != 1 or w.shape[0] != mat.shape[0]:
         raise ValueError("weights must be one per row")
-    if not np.all(w >= 1):
+    if not (np.all(w >= 1) and np.all(w % 1 == 0)):
         raise ValueError("weights must be positive integers (>= 1)")
     scaled = mat * np.sqrt(w.astype(np.float64))[:, None]
-    if exact:
-        return exact_truncated_svd(scaled, trunc.rank, max_entries=max_entries)
     return randomized_truncated_svd(scaled, trunc)
-
-
-def spectrum(a, count: int, *, seed: int = 0,
-             max_entries: int = EXACT_ENTRY_LIMIT) -> np.ndarray:
-    """Top ``count`` singular values, nonincreasing.
-
-    Uses the exact backend when the matrix is small enough and the
-    randomized one otherwise.
-    """
-    mat = as_matrix(a)
-    rows, cols = mat.shape
-    if count < 1 or count > min(rows, cols):
-        raise ValueError(f"count {count} out of range for a {rows}x{cols} matrix")
-    if rows * cols <= max_entries:
-        proj = exact_truncated_svd(mat, count, max_entries=max_entries)
-    else:
-        oversample = min(DEFAULT_OVERSAMPLE, min(rows, cols) - count)
-        proj = randomized_truncated_svd(
-            mat, SvdTruncation(count, oversample=oversample, seed=seed)
-        )
-    return np.array(proj.singular_values)

@@ -88,8 +88,8 @@ class MergeReduceTree:
         block = np.asarray(piece, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self._dim:
             raise ValueError(f"expected a piece of dimension {self._dim}")
-        if block.shape[0] > self._cfg.piece_size:
-            raise ValueError("piece exceeds the configured piece size")
+        if not 0 < block.shape[0] <= self._cfg.piece_size:
+            raise ValueError("piece must have between 1 and piece_size rows")
         self._feed(0, block, None, (self._cfg.seed ^ self.stats.pieces) & MASK64)
         self.stats.pieces += 1
 

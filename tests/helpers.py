@@ -4,9 +4,58 @@ The oracles here deliberately avoid the library's own code paths: the
 Jacobi eigensolver uses plain rotations, costs are brute-force double
 loops, and the copy-by-copy insertion simulator recomputes the true SSE
 from scratch at every step.
+
+The exact references the library does not ship live here too:
+``exact_truncated_svd`` and ``spectrum`` take one thin ``np.linalg.svd``,
+``ambient_projection`` and ``reconstruction_error`` project rows in the
+ambient dimension, and ``insertion_error_increment`` is the closed-form SSE
+increase of a weighted insert. ``full_sketch`` configures the library's
+randomized SVD with a sketch as wide as the matrix's smaller side, which
+spans the whole column space and so makes that backend exact up to
+roundoff.
 """
 
 import numpy as np
+
+from piecy.linalg import Projector, SvdTruncation
+
+
+def exact_truncated_svd(a, rank: int) -> Projector:
+    """Top-``rank`` right singular vectors and values of one thin SVD."""
+    _, sigma, vt = np.linalg.svd(np.asarray(a, dtype=np.float64), full_matrices=False)
+    return Projector(vt[:rank].T, sigma[:rank])
+
+
+def spectrum(a, count: int) -> np.ndarray:
+    """Top ``count`` singular values of one thin SVD, nonincreasing."""
+    return np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[:count]
+
+
+def ambient_projection(a, projector: Projector) -> np.ndarray:
+    """Rows of ``a`` projected onto the subspace, in the ambient dimension:
+    A V V^T."""
+    v = projector.vectors
+    return (np.asarray(a, dtype=np.float64) @ v) @ v.T
+
+
+def reconstruction_error(a, projector: Projector) -> float:
+    """Squared Frobenius norm of A minus its projection."""
+    resid = np.asarray(a, dtype=np.float64) - ambient_projection(a, projector)
+    return float(np.einsum("ij,ij->", resid, resid))
+
+
+def insertion_error_increment(group_weight: int, copies: int, dist_sq: float) -> float:
+    """SSE increase from adding ``copies`` copies of one point at squared
+    distance ``dist_sq`` from the centroid of a group of total weight
+    ``group_weight``: s*w/(s+w) * dist_sq."""
+    return group_weight * copies / (group_weight + copies) * dist_sq
+
+
+def full_sketch(a, rank: int, seed: int = 0) -> SvdTruncation:
+    """A randomized-SVD configuration whose sketch has r = min(rows, cols)
+    columns (no fewer than ``rank``), so it spans the whole column space."""
+    rows, cols = np.shape(a)
+    return SvdTruncation(rank, oversample=max(min(rows, cols) - rank, 0), seed=seed)
 
 
 def jacobi_eigh(sym, sweeps: int = 100, tol: float = 1e-14):

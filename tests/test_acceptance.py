@@ -11,17 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (assert_same_features, brute_weighted_sse, principal_angles,
-                     simulate_copy_insertions)
-from piecy.coreset import (BicoEngine, ClusteringFeature,
-                           insertion_error_increment, max_insertable_copies)
+from helpers import (assert_same_features, brute_weighted_sse, exact_truncated_svd,
+                     full_sketch, insertion_error_increment, principal_angles,
+                     reconstruction_error, simulate_copy_insertions, spectrum)
+from piecy.coreset import BicoEngine, ClusteringFeature, max_insertable_copies
 from piecy.datagen import (LowerBoundConfig, RandomConfig, SwnConfig,
                            lower_bound, random_cube, structured_with_noise)
 from piecy.evaluation import (evaluate_cost_multi, kmeans_repetitions,
                               kmeanspp_seed, lloyd_iterate)
-from piecy.linalg import (SvdTruncation, exact_truncated_svd,
-                          randomized_truncated_svd, reconstruction_error,
-                          spectrum, weighted_best_fit)
+from piecy.linalg import SvdTruncation, randomized_truncated_svd, weighted_best_fit
 from piecy.mergereduce import MergeReduceTree, MrConfig, run_piecy_mr
 from piecy.pipeline import PiecyConfig, run_bico, run_piecy
 
@@ -139,7 +137,7 @@ def test_criterion_05_weighted_best_fit_equals_duplication():
             rank = min(3, rows, cols)
             mat = rng.normal(size=(rows, cols))
             weights = rng.integers(1, 6, size=rows)
-            fast = weighted_best_fit(mat, weights, SvdTruncation(rank), exact=True)
+            fast = weighted_best_fit(mat, weights, full_sketch(mat, rank))
             dup = exact_truncated_svd(np.repeat(mat, weights, axis=0), rank)
             assert principal_angles(fast.vectors, dup.vectors).max() <= 1e-8
 

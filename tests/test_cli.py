@@ -74,6 +74,22 @@ class TestGeneratorMode:
         assert code == 2
         assert "--y" in err
 
+    @pytest.mark.parametrize("algo", [(), ("--algo", "bico", "--k", "2")],
+                             ids=["generator", "run"])
+    @pytest.mark.parametrize("family, seed", [
+        (("swn", "--clusters", "2", "--y", "5", "--d", "3", "--x", "1"), "-1"),
+        (("random", "--n", "3"), str(2**128)),
+    ], ids=["swn-negative", "random-too-large"])
+    def test_seed_out_of_range_is_rejected_before_writing(self, tmp_path, capsys, algo,
+                                                          family, seed):
+        out = tmp_path / "neg.bin"
+        code, stdout, err = run_cli(capsys, *algo, "--gen", *family, "--seed", seed,
+                                    "--out", str(out))
+        assert code == 2
+        assert "seed" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestRunMode:
     def gen_file(self, tmp_path, capsys, seed=1):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_identical_features, assert_same_features,
-                     brute_weighted_sse, feature_multiset, simulate_copy_insertions)
+                     brute_weighted_sse, insertion_error_increment, simulate_copy_insertions)
 import piecy.coreset
 from piecy.coreset import (SAMPLE_CAP, BicoEngine, ClusteringFeature, _min_pairwise_sq,
-                           insertion_error_increment, max_insertable_copies)
+                           max_insertable_copies)
 from piecy.streams import BLOCK_BYTES
 
 

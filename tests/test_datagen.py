@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import collect
+from helpers import collect, spectrum
 from piecy.datagen import (LowerBoundConfig, RandomConfig, SwnConfig,
                            lower_bound, random_cube, structured_with_noise)
-from piecy.linalg import spectrum
 
 
 class TestStructuredWithNoise:
@@ -39,6 +38,10 @@ class TestStructuredWithNoise:
         with pytest.raises(ValueError):
             SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
                       spread=1.0, noise=2.0)
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
+                          seed=seed)
 
     def test_spectrum_shape(self):
         # head of large values, slow middle decline, steeper drop near the
@@ -116,6 +119,14 @@ class TestRandomCube:
     def test_deterministic(self):
         cfg = RandomConfig(n=50, seed=9)
         assert np.array_equal(collect(random_cube(cfg)), collect(random_cube(cfg)))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RandomConfig(n=0)
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                RandomConfig(n=3, seed=seed)
+        assert len(collect(random_cube(RandomConfig(n=3, seed=2**128 - 1)))) == 3
 
     def test_spectrum_slightly_decreasing_no_knee(self):
         cfg = RandomConfig(n=300, seed=2)

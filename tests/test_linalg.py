@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import jacobi_eigh, principal_angles
-from piecy.linalg import (Projector, SvdTruncation, exact_truncated_svd,
-                          project, randomized_truncated_svd,
-                          reconstruction_error, spectrum, weighted_best_fit)
+from helpers import (ambient_projection, exact_truncated_svd, full_sketch, jacobi_eigh,
+                     principal_angles, reconstruction_error, spectrum)
+from piecy.linalg import (Projector, SvdTruncation, project, randomized_truncated_svd,
+                          weighted_best_fit)
 
 
 def random_orthonormal(rng, dim, cols):
@@ -12,10 +14,15 @@ def random_orthonormal(rng, dim, cols):
     return q
 
 
+def full_svd(a, rank, seed=0):
+    """The library's randomized SVD with a sketch spanning the column space."""
+    return randomized_truncated_svd(a, full_sketch(a, rank, seed))
+
+
 class TestExactTruncatedSvd:
     def test_diagonal_matrix(self):
         a = np.diag([3.0, 2.0, 1.0])
-        proj = exact_truncated_svd(a, 2)
+        proj = full_svd(a, 2)
         assert np.allclose(proj.singular_values, [3.0, 2.0], atol=1e-12)
         # sign convention makes these exactly the standard basis vectors
         assert np.allclose(proj.vectors[:, 0], [1, 0, 0], atol=1e-12)
@@ -27,14 +34,14 @@ class TestExactTruncatedSvd:
         u /= np.linalg.norm(u)
         v = rng.normal(size=5)
         v /= np.linalg.norm(v)
-        proj = exact_truncated_svd(np.outer(u, v), 1)
+        proj = full_svd(np.outer(u, v), 1)
         assert proj.singular_values[0] == pytest.approx(1.0, abs=1e-10)
         assert abs(float(proj.vectors[:, 0] @ v)) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(20, 10))
-        proj = exact_truncated_svd(a, 3)
+        proj = full_svd(a, 3)
         gram_eigs = jacobi_eigh(a.T @ a)
         expected = np.sqrt(np.clip(gram_eigs[:3], 0.0, None))
         assert np.allclose(proj.singular_values, expected, rtol=1e-8)
@@ -42,7 +49,7 @@ class TestExactTruncatedSvd:
     def test_wide_matrix_uses_small_gram_side(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(6, 40))
-        proj = exact_truncated_svd(a, 5)
+        proj = full_svd(a, 5)
         ref = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(proj.singular_values, ref[:5], rtol=1e-9)
         gram = proj.vectors.T @ proj.vectors
@@ -51,32 +58,41 @@ class TestExactTruncatedSvd:
     def test_rank_beyond_matrix_rank_pads_with_zeros(self):
         rng = np.random.default_rng(13)
         a = np.outer(rng.normal(size=4), rng.normal(size=9))
-        proj = exact_truncated_svd(a, 3)
+        proj = full_svd(a, 3)
         assert proj.singular_values[0] > 0
         assert np.all(proj.singular_values[1:] == 0.0)
         gram = proj.vectors.T @ proj.vectors
         assert np.allclose(gram, np.eye(3), atol=1e-8)
 
     def test_zero_matrix(self):
-        proj = exact_truncated_svd(np.zeros((4, 6)), 2)
+        proj = full_svd(np.zeros((4, 6)), 2)
         assert np.all(proj.singular_values == 0.0)
         assert np.allclose(proj.vectors.T @ proj.vectors, np.eye(2), atol=1e-12)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            exact_truncated_svd(np.eye(3), 4)
+            full_svd(np.eye(3), 4)
         with pytest.raises(ValueError):
-            exact_truncated_svd(np.eye(3), 0)
+            full_svd(np.eye(3), 0)
 
     def test_rejects_non_finite(self):
         a = np.eye(3)
         a[1, 1] = np.nan
         with pytest.raises(ValueError):
-            exact_truncated_svd(a, 1)
+            full_svd(a, 1)
 
-    def test_entry_limit(self):
-        with pytest.raises(ValueError):
-            exact_truncated_svd(np.zeros((10, 10)), 2, max_entries=50)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 12), inner=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_sketch_matches_thin_svd(self, rows, cols, inner, seed):
+        # a sketch as wide as the smaller side spans the column space, so the
+        # randomized backend is exact up to roundoff at every rank
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+        for rank in range(1, min(rows, cols) + 1):
+            got = full_svd(a, rank, seed).singular_values
+            want = spectrum(a, rank)
+            assert np.abs(got - want).max() <= 1e-10 * want[0]
 
 
 class TestRandomizedTruncatedSvd:
@@ -138,45 +154,44 @@ class TestProject:
         a = rng.normal(size=(9, 6))
         basis = random_orthonormal(rng, 6, 6)
         proj = Projector(basis, np.ones(6))
-        assert np.allclose(project(a, proj), a, atol=1e-10)
+        assert np.allclose(project(a, proj, np.eye(6)), a, atol=1e-10)
 
     def test_diagonal_top_two(self):
         a = np.diag([3.0, 2.0, 1.0])
-        proj = exact_truncated_svd(a, 2)
-        assert np.allclose(project(a, proj), np.diag([3.0, 2.0, 0.0]), atol=1e-10)
+        proj = full_svd(a, 2)
+        assert np.allclose(project(a, proj, np.eye(3)), np.diag([3.0, 2.0, 0.0]), atol=1e-10)
 
     def test_residual_matches_tail_singular_values(self):
         rng = np.random.default_rng(41)
         a = rng.normal(size=(15, 8))
-        proj = exact_truncated_svd(a, 3)
+        proj = full_svd(a, 3)
         tail = np.linalg.svd(a, compute_uv=False)[3:]
         expected = float((tail ** 2).sum())
         assert reconstruction_error(a, proj) == pytest.approx(expected, rel=1e-8)
 
     def test_dimension_mismatch(self):
-        proj = exact_truncated_svd(np.eye(4), 2)
+        proj = full_svd(np.eye(4), 2)
         with pytest.raises(ValueError):
-            project(np.zeros((3, 5)), proj)
+            project(np.zeros((3, 5)), proj, np.eye(4))
         with pytest.raises(ValueError):
             project(np.zeros((3, 4)), proj, np.eye(5, 2))
 
     def test_coordinates_in_a_containing_basis(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(9, 7))
-        proj = exact_truncated_svd(a, 2)
+        proj = full_svd(a, 2)
         basis, _ = np.linalg.qr(np.hstack([proj.vectors, rng.normal(size=(7, 3))]))
         coords = project(a, proj, basis)
         assert coords.shape == (9, 5)
-        assert np.allclose(coords, project(a, proj) @ basis, rtol=0, atol=1e-12)
-        assert np.allclose(coords @ basis.T, project(a, proj), rtol=0, atol=1e-12)
+        assert np.allclose(coords, ambient_projection(a, proj) @ basis, rtol=0, atol=1e-12)
+        assert np.allclose(coords @ basis.T, ambient_projection(a, proj), rtol=0, atol=1e-12)
 
 
 class TestWeightedBestFit:
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(43)
         a = rng.normal(size=(12, 6))
-        t = SvdTruncation(3, seed=3)
-        w = weighted_best_fit(a, np.ones(12, dtype=int), t, exact=True)
+        w = weighted_best_fit(a, np.ones(12, dtype=int), full_sketch(a, 3, seed=3))
         u = exact_truncated_svd(a, 3)
         assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
 
@@ -185,25 +200,27 @@ class TestWeightedBestFit:
         a = rng.normal(size=(4, 3))
         weights = np.array([1, 2, 1, 3])
         dup = np.repeat(a, weights, axis=0)
-        w = weighted_best_fit(a, weights, SvdTruncation(2), exact=True)
+        w = weighted_best_fit(a, weights, full_sketch(a, 2))
         u = exact_truncated_svd(dup, 2)
         assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
         assert np.allclose(w.singular_values, u.singular_values, rtol=1e-9)
 
     def test_single_row_spans_that_row(self):
         row = np.array([[3.0, 0.0, 4.0]])
-        proj = weighted_best_fit(row, [5], SvdTruncation(1), exact=True)
+        proj = weighted_best_fit(row, [5], full_sketch(row, 1))
         direction = row[0] / np.linalg.norm(row[0])
         assert abs(float(proj.vectors[:, 0] @ direction)) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_weights(self):
         a = np.eye(3)
         with pytest.raises(ValueError):
-            weighted_best_fit(a, [1, 0, 1], SvdTruncation(1), exact=True)
+            weighted_best_fit(a, [1, 0, 1], full_sketch(a, 1))
         with pytest.raises(ValueError):
-            weighted_best_fit(a, [1, -2, 1], SvdTruncation(1), exact=True)
+            weighted_best_fit(a, [1, -2, 1], full_sketch(a, 1))
         with pytest.raises(ValueError):
-            weighted_best_fit(a, [1, 1], SvdTruncation(1), exact=True)
+            weighted_best_fit(a, [1, 1], full_sketch(a, 1))
+        with pytest.raises(ValueError):
+            weighted_best_fit(a, [1.5, 1, 1], full_sketch(a, 1))
 
     def test_projection_keeps_weights_and_scale(self):
         # projecting the original rows (not the scaled ones) must reproduce
@@ -211,35 +228,12 @@ class TestWeightedBestFit:
         rng = np.random.default_rng(53)
         a = rng.normal(size=(6, 4))
         weights = np.array([2, 1, 4, 1, 3, 2])
-        proj = weighted_best_fit(a, weights, SvdTruncation(2), exact=True)
+        proj = weighted_best_fit(a, weights, full_sketch(a, 2))
         dup = np.repeat(a, weights, axis=0)
         dup_proj = exact_truncated_svd(dup, 2)
-        got = project(a, proj)
-        want = project(a, dup_proj)
+        got = project(a, proj, np.eye(4))
+        want = ambient_projection(a, dup_proj)
         assert np.allclose(got, want, atol=1e-8)
-
-
-class TestSpectrum:
-    def test_diagonal(self):
-        assert np.allclose(spectrum(np.diag([3.0, 2.0, 1.0]), 3), [3, 2, 1],
-                           atol=1e-10)
-
-    def test_rank_one_tail_is_zero(self):
-        a = np.outer([1.0, 2.0], [0.5, 0.5, 0.5])
-        values = spectrum(a, 2)
-        assert values[0] > 1.0
-        assert values[1] <= 1e-10 * values[0]
-
-    def test_count_out_of_range(self):
-        with pytest.raises(ValueError):
-            spectrum(np.eye(3), 4)
-
-    def test_large_matrix_uses_randomized_backend(self):
-        rng = np.random.default_rng(59)
-        base = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 40))
-        small_budget = spectrum(base, 5, seed=1, max_entries=100)
-        exact = spectrum(base, 5)
-        assert np.allclose(small_budget, exact, rtol=1e-6)
 
 
 class TestProjectorInvariants:
@@ -250,7 +244,7 @@ class TestProjectorInvariants:
         cols = int(rng.integers(4, 12))
         rank = int(rng.integers(1, min(rows, cols) - 1)) if min(rows, cols) > 2 else 1
         a = rng.normal(size=(rows, cols))
-        for proj in (exact_truncated_svd(a, rank),
+        for proj in (full_svd(a, rank, seed),
                      randomized_truncated_svd(
                          a, SvdTruncation(rank, oversample=min(3, min(rows, cols) - rank),
                                           seed=seed))):
@@ -275,11 +269,11 @@ class TestProjectorInvariants:
         rank = min(3, cols, rows)
         a = rng.normal(size=(rows, cols))
         weights = rng.integers(1, 6, size=rows)
-        w = weighted_best_fit(a, weights, SvdTruncation(rank), exact=True)
+        w = weighted_best_fit(a, weights, full_sketch(a, rank))
         u = exact_truncated_svd(np.repeat(a, weights, axis=0), rank)
         assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
 
     def test_projector_arrays_read_only(self):
-        proj = exact_truncated_svd(np.eye(3), 2)
+        proj = full_svd(np.eye(3), 2)
         with pytest.raises(ValueError):
             proj.vectors[0, 0] = 9.0

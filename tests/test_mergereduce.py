@@ -303,6 +303,9 @@ class TestMassAndDeterminism:
             tree.push_piece(np.zeros((3, 7)))
         with pytest.raises(ValueError):
             tree.push_piece(np.zeros((9, 4)))
+        with pytest.raises(ValueError):
+            tree.push_piece(np.zeros((0, 4)))
+        assert tree.stats.pieces == 0
         with pytest.raises(ValueError, match="svd_dim"):
             MergeReduceTree(1, cfg)  # rank 2 in a 1-d stream
 

@@ -9,9 +9,10 @@ same decisions, so weights match exactly and points up to roundoff.
 import numpy as np
 import pytest
 
+from helpers import ambient_projection
 from piecy.coreset import BicoEngine
 from piecy.linalg import (DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERATIONS, SvdTruncation,
-                          project, randomized_truncated_svd, weighted_best_fit)
+                          randomized_truncated_svd, weighted_best_fit)
 from piecy.mergereduce import MrConfig, run_piecy_mr
 from piecy.pipeline import (PiecyConfig, PipelineStats, SpanEngine, iter_pieces, run_piecy,
                             span_complement)
@@ -33,7 +34,7 @@ def reference_piecy(points, dim, cfg):
             oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
             trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS,
                                   seed=(cfg.seed ^ index) & MASK64)
-            block = project(piece, randomized_truncated_svd(piece, trunc))
+            block = ambient_projection(piece, randomized_truncated_svd(piece, trunc))
         for i in range(rows):
             engine.insert(block[i])
     return engine.extract_coreset()
@@ -52,7 +53,7 @@ def reference_piecy_mr(points, dim, cfg):
         trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS, seed=seed)
         if weights is None:
             weights = np.ones(rows, dtype=np.int64)
-        return project(block, weighted_best_fit(block, weights, trunc))
+        return ambient_projection(block, weighted_best_fit(block, weights, trunc))
 
     def feed(level, block, weights):
         while len(levels) <= level:
