@@ -7,7 +7,14 @@ of the multiset against any single center, so the engine can maintain an
 error budget per feature without keeping the points.
 
 The engine covers the stream with features anchored at reference points,
-organized in levels whose admission radius shrinks by half per level. A
+organized in levels whose admission radius shrinks with the level, as in
+BICO (Fichtenberger, Gille, Schmidt, Schwiegelshohn and Sohler, ESA 2013):
+level 1 admits a point within squared distance R_1^2 = T/16 of a
+reference, and radius^2 halves per level, so the radius shrinks by sqrt(2)
+per level. These constants are a design choice measured on the benchmark
+streams: starting at T and quartering per level made level 1 one node
+covering everything, so inserts fell through to one flat level-2 group
+and the pass ran slower on all three workloads. A
 point joins the nearest eligible feature for as many copies as fit under
 the error threshold T, and the remainder descends a level; when no feature
 is eligible a new one opens at the point. When the feature count would
@@ -57,6 +64,11 @@ from .streams import block_rows
 # At most this many bootstrap locations set a cold engine's starting threshold;
 # ``_min_pairwise_sq`` scans them in row blocks of ``streams.BLOCK_BYTES``.
 SAMPLE_CAP = 1001
+
+# Admission radius^2 is T * ROOT_RADIUS_SQ at level 1 and is multiplied by
+# LEVEL_RADIUS_SQ per level below, in both ``_absorb`` and ``_reattach``.
+ROOT_RADIUS_SQ = 1.0 / 16.0
+LEVEL_RADIUS_SQ = 0.5
 
 MAX_TOTAL_WEIGHT = int(np.iinfo(np.int64).max)  # coreset weights are int64
 
@@ -246,7 +258,11 @@ class BicoEngine:
     final threshold of an engine that summarized similar data), and
     otherwise comes from the spread of the first ``SAMPLE_CAP`` buffered
     locations: their smallest pairwise squared distance times budget / 16.
-    Any positive start works, because doubling self-corrects upward. ``dim``
+    Any positive start works, because doubling self-corrects upward. Level
+    i admits within radius^2 T/16 * 2^-(i-1), so a cold start puts R_1^2 at
+    that smallest squared distance times budget / 256: below budget 256, a
+    cold build of distinct locations opens budget + 1 roots and doubles T
+    at once. ``dim``
     may be 0, as the start of ``grow``. One writer per engine; extracted
     coresets are independent snapshots.
     """
@@ -363,7 +379,7 @@ class BicoEngine:
         """
         threshold = self._threshold
         group = self._roots
-        radius_sq = threshold  # level-1 admission radius^2; quarters per level
+        radius_sq = threshold * ROOT_RADIUS_SQ
         placed = 0
         while True:
             j, part = group.nearest(x, key)
@@ -403,7 +419,7 @@ class BicoEngine:
             if node.children is None:
                 node.children = _Group(self._dim)
             group = node.children
-            radius_sq *= 0.25
+            radius_sq *= LEVEL_RADIUS_SQ
 
     def _open(self, group: _Group, x: np.ndarray, x_sq: float, w: int) -> None:
         group.add(_Node(x, w, x_sq, self._next_index))
@@ -429,7 +445,7 @@ class BicoEngine:
     def _reattach(self, node: _Node) -> None:
         threshold = self._threshold
         group = self._roots
-        radius_sq = threshold
+        radius_sq = threshold * ROOT_RADIUS_SQ
         ref = node.reference
         ref_sq = float(ref @ ref)
         while True:
@@ -453,7 +469,7 @@ class BicoEngine:
             if host.children is None:
                 host.children = _Group(self._dim)
             group = host.children
-            radius_sq *= 0.25
+            radius_sq *= LEVEL_RADIUS_SQ
 
     # -- extraction --------------------------------------------------------
 

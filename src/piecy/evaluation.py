@@ -156,15 +156,20 @@ def evaluate_cost_multi(center_sets, point_stream) -> list:
     One pass covers all sets; returns one cost per set, in order. Points
     are copied into one reused buffer of ``streams.BLOCK_BYTES`` bytes
     (``streams.iter_blocks``) whatever d is, so no read block is kept alive
-    past its rows; a point whose shape is not (d,) is rejected.
+    past its rows; a point whose shape is not (d,) is rejected. Points and
+    centers are shifted by the centers' mean before the |a|^2 - 2a.b + |b|^2
+    expansion, which would otherwise cancel on coordinates far from the origin.
     """
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
     bounds = np.cumsum([0] + [c.shape[0] for c in sets])
     totals = np.zeros(len(sets))
     dim = stacked.shape[1]
+    shift = stacked.mean(axis=0)
+    stacked -= shift
 
     for rows in iter_blocks(point_stream, block_rows(8 * dim), dim):
+        rows -= shift  # in place: iter_blocks' own buffer
         d2 = sq_distances(rows, stacked)
         for i in range(len(sets)):
             totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()

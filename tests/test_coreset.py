@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -399,6 +400,22 @@ class TestWeightedUnitEquivalence:
         assert a.threshold == b.threshold  # same rebuild history
         assert_same_features(a, b)
 
+    @pytest.mark.parametrize("trial", range(3))
+    def test_equivalence_at_criterion_01_scale(self, trial):
+        # acceptance criterion 01's first streams, without its time budget
+        rng = np.random.default_rng(1000 + trial)
+        points = rng.normal(scale=5.0, size=(5000, 20))
+        weights = rng.integers(1, 11, size=5000)
+        a = BicoEngine(20, 100)
+        b = BicoEngine(20, 100)
+        for x, w in zip(points, weights):
+            a.insert(x, int(w))
+            for _ in range(int(w)):
+                b.insert(x)
+        assert a.total_weight == b.total_weight == int(weights.sum())
+        assert a.threshold == b.threshold
+        assert_same_features(a, b, rtol=1e-9)
+
     def test_interleaved_duplicate_locations(self):
         # revisiting an old location later in the stream
         a = BicoEngine(1, 3)
@@ -410,6 +427,73 @@ class TestWeightedUnitEquivalence:
             for _ in range(w):
                 b.insert(np.array([v]))
         assert_same_features(a, b)
+
+
+def radius_sq(threshold: float, level: int) -> float:
+    """Admission radius^2 of ``level``: T/16 at level 1, halving per level."""
+    return threshold / 16.0 * 0.5 ** (level - 1)
+
+
+def feature_tree(engine):
+    """(level, reference, parent index or -1) per feature, read back from the
+    preorder traversal that ``features()`` returns."""
+    nodes, path = [], []
+    for level, cf in engine.features():
+        del path[level - 1:]
+        nodes.append((level, cf.reference, path[-1] if path else -1))
+        path.append(len(nodes) - 1)
+    return nodes
+
+
+class TestLevelRadii:
+    @staticmethod
+    def one_root_engine(threshold):
+        # warm at budget 2: the third distinct location builds the structure,
+        # and all three lie within 2e-6 of the first, so they share one root
+        root = np.array([3.0, -2.0])
+        engine = BicoEngine(2, 2, threshold)
+        for dx in (0.0, 1e-6, 2e-6):
+            engine.insert(root + [dx, 0.0])
+        assert engine.num_features == 1
+        return engine, root
+
+    @pytest.mark.parametrize("fraction, roots", [(0.99, 1), (1.01, 2)])
+    def test_level_1_radius_is_a_sixteenth_of_the_threshold(self, fraction, roots):
+        threshold = 64.0
+        engine, root = self.one_root_engine(threshold)
+        engine.insert(root + [0.0, math.sqrt(fraction * threshold / 16.0)])
+        assert engine.threshold == threshold
+        assert [level for level, _ in engine.features()] == [1] * roots
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 3), budget=st.integers(1, 8),
+           warm=st.one_of(st.just(0.0), st.floats(1e-2, 1e3)),
+           stream=st.lists(st.tuples(st.integers(0, 23), st.integers(1, 20)),
+                           max_size=60))
+    def test_siblings_apart_and_children_within_their_level_radius(
+            self, dim, budget, warm, stream):
+        # 24 distinct integer locations keep both the engine's expansion and
+        # the explicit differences below exact; the first budget + 1 build
+        rng = np.random.default_rng(dim)
+        grid = rng.integers(-6, 7, size=(24, dim)).astype(float)
+        grid[:, 0] = rng.permutation(24) - 12
+        engine = BicoEngine(dim, budget, warm)
+        for loc in range(budget + 1):
+            engine.insert(grid[loc])
+        for loc, w in stream:
+            engine.insert(grid[loc], w)
+        t = engine.threshold
+        nodes = feature_tree(engine)
+        for i, (level, ref, parent) in enumerate(nodes):
+            r2 = radius_sq(t, level)
+            for other_level, other, other_parent in nodes[i + 1:]:
+                if other_parent == parent and other_level == level:
+                    diff = ref - other
+                    assert float(diff @ diff) > r2 * (1.0 - 1e-9)
+            if parent >= 0:
+                parent_level, parent_ref, _ = nodes[parent]
+                diff = ref - parent_ref
+                assert float(diff @ diff) <= radius_sq(t, parent_level) * (1.0 + 1e-9)
 
 
 class TestRebuild:
@@ -517,12 +601,17 @@ class TestGrow:
         assert not built
 
     def test_grow_after_build_before_rebuild(self):
+        # A cold build of distinct points at budget < 256 doubles at once
+        # (R_1 falls below the sample's smallest pairwise distance), so the
+        # early points are 310 of a shuffled 7x7x7 integer lattice at budget
+        # 300, which builds without a rebuild.
         rng = np.random.default_rng(51)
-        early = rng.normal(size=(45, 3))
+        lattice = np.stack(np.meshgrid(*[np.arange(7.0)] * 3), axis=-1).reshape(-1, 3)
+        early = rng.permutation(lattice)[:310]
         late = rng.normal(size=(300, 6))
-        built, threshold = self.grown_and_padded(early, late, budget=40)
+        built, threshold = self.grown_and_padded(early, late, budget=300)
         assert built
-        assert threshold == self.first_threshold(early, 40)
+        assert threshold == self.first_threshold(early, 300)
 
     def test_grow_after_rebuild(self):
         rng = np.random.default_rng(52)

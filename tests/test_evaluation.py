@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piecy.evaluation import (CostSummary, evaluate_cost_multi, kmeans_repetitions,
                               kmeanspp_seed, lloyd_iterate, weighted_cost)
@@ -145,6 +147,20 @@ class TestCostEvaluation:
         single = [evaluate_cost_multi([c], iter(pts))[0] for c in sets]
         assert np.allclose(multi, single, rtol=1e-12)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(offset=st.floats(-1e7, 1e7), n=st.integers(1, 300), dim=st.integers(1, 50),
+           k=st.integers(1, 10), num_sets=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_translated_stream_matches_explicit_differences(
+            self, offset, n, dim, k, num_sets, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dim)) + offset
+        sets = [pts[rng.integers(0, n, size=k)] + rng.normal(scale=0.1, size=(k, dim))
+                for _ in range(num_sets)]
+        got = evaluate_cost_multi(sets, iter(pts))
+        want = [float((((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)).min(axis=1).sum())
+                for c in sets]
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_weighted_cost_equals_unit_expansion(self):
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(30, 2))
@@ -187,15 +203,16 @@ class TestSummaries:
 
 def stacked_cost_multi(center_sets, point_stream, chunk):
     """The list-and-stack buffering evaluate_cost_multi replaced, in blocks
-    of ``chunk`` rows."""
+    of ``chunk`` rows, with the same shift by the centers' mean."""
     from piecy.evaluation import sq_distances
     sets = [np.asarray(c, dtype=np.float64) for c in center_sets]
     stacked = np.vstack(sets)
     bounds = np.cumsum([0] + [c.shape[0] for c in sets])
     totals = np.zeros(len(sets))
+    shift = stacked.mean(axis=0)
     rows = list(point_stream)
     for start in range(0, len(rows), chunk):
-        d2 = sq_distances(np.stack(rows[start:start + chunk]), stacked)
+        d2 = sq_distances(np.stack(rows[start:start + chunk]) - shift, stacked - shift)
         for i in range(len(sets)):
             totals[i] += d2[:, bounds[i]:bounds[i + 1]].min(axis=1).sum()
     return [float(t) for t in totals]
