@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         if args.algo is not None:
             return _run_pipeline(args)
         raise CliError("nothing to do: give --algo and/or --gen")
-    except (CliError, StreamFormatError, ValueError, OSError) as exc:
+    except (CliError, StreamFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

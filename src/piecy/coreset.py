@@ -12,12 +12,11 @@ BICO (Fichtenberger, Gille, Schmidt, Schwiegelshohn and Sohler, ESA 2013):
 level 1 admits a point within squared distance R_1^2 = T/16 of a
 reference, and radius^2 halves per level, so the radius shrinks by sqrt(2)
 per level. These constants are a design choice measured on the benchmark
-streams: starting at T and quartering per level made level 1 one node
-covering everything, so inserts fell through to one flat level-2 group
-and the pass ran slower on all three workloads. A
-point joins the nearest eligible feature for as many copies as fit under
-the error threshold T, and the remainder descends a level; when no feature
-is eligible a new one opens at the point. When the feature count would
+streams, where they keep level 1 wide enough that inserts do not fall
+through to one flat group below it. A point joins the nearest eligible
+feature for as many copies as fit under the error threshold T, and the
+remainder descends a level; when no feature is eligible a new one opens
+at the point. When the feature count would
 exceed the budget, T doubles and all features are re-anchored under the
 larger threshold. T starts either from the spread of the first distinct
 points or from a warm start the caller passes in; the merge-and-reduce
@@ -33,7 +32,8 @@ Until the structure is built, the engine buffers its input in one
 location-keyed bootstrap buffer: one copy and one summed weight per
 distinct location, in first-arrival order. The build runs when the
 (budget + 1)-th distinct location arrives, so the buffer holds at most
-budget + 1 locations however long the stream runs before it.
+budget + 1 locations however long the stream runs before it. An engine
+extracted before its build returns the buffered locations as stored.
 
 ``BicoEngine.grow`` raises the engine's dimension by appending zero
 coordinates to every point it holds: references, linear sums and buffered
@@ -252,19 +252,19 @@ class BicoEngine:
     The structure is built once ``budget + 1`` distinct locations have
     arrived. Until then the bootstrap buffer holds at most budget + 1
     distinct locations, one copy each with its summed weight, and the build
-    replays them in first-arrival order; an engine that sees at most
-    ``budget`` locations returns them exactly. The threshold it is built
-    with is ``threshold`` when that is positive (a warm start, such as the
-    final threshold of an engine that summarized similar data), and
-    otherwise comes from the spread of the first ``SAMPLE_CAP`` buffered
-    locations: their smallest pairwise squared distance times budget / 16.
-    Any positive start works, because doubling self-corrects upward. Level
+    replays them in first-arrival order; an engine extracted before its
+    build returns its buffered locations as stored, bit for bit, with their
+    summed weights. The threshold it is built with is ``threshold`` when
+    that is positive (a warm start, such as the final threshold of an
+    engine that summarized similar data), and otherwise comes from the
+    spread of the first ``SAMPLE_CAP`` buffered locations: their smallest
+    pairwise squared distance times budget / 16. Any positive start works,
+    because doubling self-corrects upward. Level
     i admits within radius^2 T/16 * 2^-(i-1), so a cold start puts R_1^2 at
     that smallest squared distance times budget / 256: below budget 256, a
     cold build of distinct locations opens budget + 1 roots and doubles T
-    at once. ``dim``
-    may be 0, as the start of ``grow``. One writer per engine; extracted
-    coresets are independent snapshots.
+    at once. ``dim`` may be 0, as the start of ``grow``. One writer per
+    engine; extracted coresets are independent snapshots.
     """
 
     def __init__(self, dim: int, budget: int, threshold: float = 0.0):
@@ -319,8 +319,13 @@ class BicoEngine:
         if self._roots is None:
             entries = [(_padded(x, dim), w) for x, w in self._pending.values()]
             self._pending = {x.tobytes(): [x, w] for x, w in entries}
-        else:
-            _grow_group(self._roots, dim)
+            return
+        self._roots.refs = _padded(self._roots.refs, dim)
+        for _, node in self._walk():
+            node.linear_sum = _padded(node.linear_sum, dim)
+            node.reference = _padded(node.reference, dim)
+            if node.children is not None:
+                node.children.refs = _padded(node.children.refs, dim)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -434,8 +439,9 @@ class BicoEngine:
         breaks ties. Weight, linear and squared sums are conserved."""
         while self._num_features > self._budget:
             self._threshold *= 2.0
-            nodes = []
-            _collect(self._roots, nodes)
+            nodes = [node for _, node in self._walk()]
+            for node in nodes:
+                node.children = None
             nodes.sort(key=_rebuild_order)
             self._roots = _Group(self._dim)
             self._num_features = 0
@@ -473,32 +479,39 @@ class BicoEngine:
 
     # -- extraction --------------------------------------------------------
 
-    def features(self):
-        """Snapshot of all features as (level, ClusteringFeature) pairs, in
-        deterministic traversal order."""
-        out = []
-        if self._roots is None:
-            for x, w in self._pending.values():
-                out.append((1, ClusteringFeature.from_point(x, w)))
-            return out
+    def _walk(self):
+        """(level, node) over the built tree in preorder: parents before
+        their children, siblings in insertion order."""
         stack = [(1, node) for node in reversed(self._roots.nodes)]
         while stack:
             level, node = stack.pop()
-            out.append((level, ClusteringFeature(
-                node.weight, node.linear_sum.copy(), node.square_sum,
-                node.reference.copy())))
+            yield level, node
             if node.children is not None:
                 stack.extend((level + 1, child) for child in reversed(node.children.nodes))
-        return out
+
+    def features(self):
+        """Snapshot of all features as (level, ClusteringFeature) pairs, in
+        deterministic traversal order."""
+        if self._roots is None:
+            return [(1, ClusteringFeature.from_point(x, w)) for x, w in self._pending.values()]
+        return [(level, ClusteringFeature(node.weight, node.linear_sum.copy(),
+                                          node.square_sum, node.reference.copy()))
+                for level, node in self._walk()]
 
     def extract_coreset(self) -> Coreset:
-        """One weighted point per feature: centroid with the feature weight.
-        Weights sum exactly to the total weight consumed."""
-        feats = self.features()
-        if not feats:
+        """One weighted point per feature: centroid with the feature weight,
+        in the order of ``features()``. Before the build, the buffered
+        locations as stored with their summed weights. Weights sum exactly
+        to the total weight consumed."""
+        if self._roots is None:
+            entries = list(self._pending.values())
+        else:
+            entries = [(node.linear_sum / node.weight, node.weight)
+                       for _, node in self._walk()]
+        if not entries:
             return Coreset(np.zeros((0, self._dim)), np.zeros(0, dtype=np.int64))
-        points = np.stack([cf.linear_sum / cf.weight for _, cf in feats])
-        weights = np.array([cf.weight for _, cf in feats], dtype=np.int64)
+        points = np.stack([x for x, _ in entries])
+        weights = np.array([w for _, w in entries], dtype=np.int64)
         return Coreset(points, weights)
 
 
@@ -506,29 +519,11 @@ def _rebuild_order(node: _Node):
     return (-node.weight, node.index)
 
 
-def _collect(group: _Group, out: list) -> None:
-    for node in group.nodes:
-        out.append(node)
-        if node.children is not None:
-            _collect(node.children, out)
-            node.children = None
-
-
-def _padded(x: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[:x.shape[0]] = x
+def _padded(a: np.ndarray, dim: int) -> np.ndarray:
+    """``a`` with zero columns appended up to ``dim``; a row for 1-d ``a``."""
+    out = np.zeros(a.shape[:-1] + (dim,))
+    out[..., :a.shape[-1]] = a
     return out
-
-
-def _grow_group(group: _Group, dim: int) -> None:
-    refs = np.zeros((group.refs.shape[0], dim))
-    refs[:, :group.refs.shape[1]] = group.refs
-    group.refs = refs
-    for node in group.nodes:
-        node.linear_sum = _padded(node.linear_sum, dim)
-        node.reference = _padded(node.reference, dim)
-        if node.children is not None:
-            _grow_group(node.children, dim)
 
 
 def _min_pairwise_sq(sample: np.ndarray) -> float:

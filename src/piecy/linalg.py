@@ -69,14 +69,11 @@ class Projector:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column nonnegative."""
     out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        peak = np.abs(col).max()
-        if peak == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * peak)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
+    mag = np.abs(out)
+    # a zero column gives row 0, and its +-0 entry is not negative
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = out[first, np.arange(out.shape[1])] < 0.0
+    out[:, flip] = -out[:, flip]
     return out
 
 

@@ -366,6 +366,26 @@ class TestErrors:
         assert stdout == ""
         assert err == f"error: {path}: truncated record at byte 12\n"
 
+    @pytest.mark.parametrize("algo", ["piecy", "piecy-mr"])
+    def test_piece_buffer_too_large_to_allocate_is_an_error(self, capsys, monkeypatch,
+                                                            algo):
+        # numpy reports a 10^12-row piece buffer as a MemoryError; the stand-in
+        # raises it without allocating anything.
+        message = "Unable to allocate 36.4 TiB for an array with shape (1000000000000, 5)"
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pipeline, "iter_pieces", no_memory)
+        monkeypatch.setattr(mergereduce, "iter_pieces", no_memory)
+        code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "2",
+                                    "--piece-size", "1000000000000", "--gen", "swn",
+                                    "--clusters", "2", "--y", "5", "--d", "5", "--x", "1",
+                                    "--seed", "1")
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
     def test_pipe_input_is_rejected_before_it_is_opened(self, tmp_path, capsys,
                                                         monkeypatch):
         path = tmp_path / "pipe"

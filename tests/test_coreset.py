@@ -712,3 +712,69 @@ class TestBootstrapBuffer:
         assert interleaved.threshold == weighted.threshold > 0.0
         assert interleaved.total_weight == weighted.total_weight
         assert_identical_features(interleaved, weighted)
+
+
+def assert_extraction_matches_features(engine):
+    """Row i of the coreset is the i-th feature's centroid, bit for bit."""
+    coreset = engine.extract_coreset()
+    feats = engine.features()
+    assert len(coreset) == len(feats)
+    for (_, cf), point, weight in zip(feats, coreset.points, coreset.weights):
+        assert (cf.linear_sum / cf.weight).tobytes() == point.tobytes()
+        assert weight == cf.weight
+
+
+class TestExtraction:
+    def test_unbuilt_engine_returns_a_weighted_location_exactly(self):
+        # 3 * 0.1 / 3 is 0.10000000000000002
+        engine = BicoEngine(1, 5)
+        engine.insert([0.1], 3)
+        coreset = engine.extract_coreset()
+        assert coreset.points.tolist() == [[0.1]]
+        assert coreset.weights.tolist() == [3]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 4), budget=st.integers(1, 12), warm=st.booleans(),
+           stream=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 9)),
+                           min_size=1, max_size=40),
+           grow_at=st.one_of(st.none(), st.integers(0, 40)), seed=st.integers(0, 2**16))
+    def test_unbuilt_engine_returns_its_locations_in_first_arrival_order(
+            self, dim, budget, warm, stream, grow_at, seed):
+        # At most ``budget`` distinct locations, revisited in any order. With
+        # ``grow_at`` the engine grows by two coordinates before that insert,
+        # and a location first seen before it comes back zero-padded.
+        wide = dim + 2 * (grow_at is not None)
+        grid = np.random.default_rng(seed).normal(scale=7.0, size=(budget, wide))
+        engine = BicoEngine(dim, budget, 3.0 if warm else 0.0)
+        want = {}  # location -> [point as stored, summed weight], first-arrival order
+        for i, (loc, w) in enumerate(stream):
+            if i == grow_at:
+                engine.grow(wide)
+            entry = want.setdefault(loc % budget, [grid[loc % budget, :engine.dim], 0])
+            entry[1] += w
+            engine.insert(np.pad(entry[0], (0, engine.dim - entry[0].shape[0])), w)
+        coreset = engine.extract_coreset()
+        points = [np.pad(x, (0, engine.dim - x.shape[0])) for x, _ in want.values()]
+        assert coreset.points.tobytes() == np.stack(points).tobytes()
+        assert coreset.weights.tolist() == [w for _, w in want.values()]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extraction_follows_the_feature_order(self, seed):
+        # built engines after rebuilds, right after a grow, and after more
+        # weighted inserts in the grown dimension
+        rng = np.random.default_rng(70 + seed)
+        engine = BicoEngine(3, 15)
+        early = rng.normal(scale=4.0, size=(300, 3))
+        for x in early[:16]:  # the 16th distinct location builds the structure
+            engine.insert(x)
+        built = engine.threshold
+        for x, w in zip(early[16:], rng.integers(1, 6, size=284)):
+            engine.insert(x, int(w))
+        assert engine.threshold > built > 0.0
+        assert_extraction_matches_features(engine)
+        engine.grow(5)
+        assert_extraction_matches_features(engine)
+        for x, w in zip(rng.normal(scale=4.0, size=(300, 5)), rng.integers(1, 6, size=300)):
+            engine.insert(x, int(w))
+        assert_extraction_matches_features(engine)
+        assert engine.extract_coreset().total_weight == engine.total_weight

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import (ambient_projection, exact_truncated_svd, full_sketch, jacobi_eigh,
                      principal_angles, reconstruction_error, spectrum)
-from piecy.linalg import (Projector, SvdTruncation, project, randomized_truncated_svd,
-                          weighted_best_fit)
+from piecy.linalg import (Projector, SvdTruncation, _fix_signs, project,
+                          randomized_truncated_svd, weighted_best_fit)
 
 
 def random_orthonormal(rng, dim, cols):
@@ -17,6 +17,40 @@ def random_orthonormal(rng, dim, cols):
 def full_svd(a, rank, seed=0):
     """The library's randomized SVD with a sketch spanning the column space."""
     return randomized_truncated_svd(a, full_sketch(a, rank, seed))
+
+
+def column_loop_fix_signs(vectors):
+    """Reference for ``_fix_signs``: one column at a time."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        peak = np.abs(col).max()
+        if peak == 0.0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * peak)[0]
+        if col[nz[0]] < 0.0:
+            out[:, j] = -col
+    return out
+
+
+class TestFixSigns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_column_loop_bit_for_bit(self, seed):
+        # zero columns, columns of tiny entries, signed zeros, wide exponent
+        # ranges and transposed views like the ones the SVD passes in
+        rng = np.random.default_rng(seed)
+        for trial in range(200):
+            rows, cols = rng.integers(1, 12, size=2)
+            a = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, size=cols)
+            a[rng.random((rows, cols)) < 0.3] = 0.0
+            a[rng.random((rows, cols)) < 0.2] *= -1.0
+            a[:, rng.random(cols) < 0.2] = 0.0
+            a[:, rng.random(cols) < 0.2] *= 1e-13
+            if trial % 2:
+                a = np.ascontiguousarray(a.T).T
+            want, got = column_loop_fix_signs(a), _fix_signs(a)
+            assert got.tobytes() == want.tobytes()  # signs of zeros included
+            assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
 class TestExactTruncatedSvd:
