@@ -6,8 +6,7 @@ from .datagen import (LowerBoundConfig, RandomConfig, SwnConfig, lower_bound,
                       random_cube, structured_with_noise)
 from .evaluation import (CostSummary, evaluate_cost_multi, kmeans_repetitions,
                          kmeanspp_seed, lloyd_iterate, weighted_cost)
-from .linalg import (Projector, SvdTruncation, project, randomized_truncated_svd,
-                     weighted_best_fit)
+from .linalg import SvdTruncation, project, randomized_truncated_svd, weighted_best_fit
 from .mergereduce import MergeReduceTree, MrConfig, run_piecy_mr
 from .pipeline import (PiecyConfig, PipelineStats, coreset_cost_report,
                        default_svd_dim, run_bico, run_piecy)
@@ -20,7 +19,7 @@ __all__ = [
     "lower_bound", "random_cube", "structured_with_noise",
     "CostSummary", "evaluate_cost_multi",
     "kmeans_repetitions", "kmeanspp_seed", "lloyd_iterate", "weighted_cost",
-    "Projector", "SvdTruncation", "project", "randomized_truncated_svd",
+    "SvdTruncation", "project", "randomized_truncated_svd",
     "weighted_best_fit",
     "MergeReduceTree", "MrConfig", "run_piecy_mr",
     "PiecyConfig", "PipelineStats", "coreset_cost_report", "default_svd_dim",

@@ -6,6 +6,7 @@ counter-based 64-bit generator, with uniform reals taken by 53-bit mantissa
 scaling (``Generator.random``), so streams are portable across platforms.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,6 +21,13 @@ def _check_seed(seed: int) -> None:
     """Reject a seed that is not a 128-bit Philox key, before any point is made."""
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def _check_finite(**ranges: float) -> None:
+    """Reject a non-finite range, before any point is made."""
+    for name, value in ranges.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,7 @@ class SwnConfig:
             raise ValueError("clusters, points_per_cluster and dim must be >= 1")
         if not 1 <= self.active_dims <= self.dim:
             raise ValueError("active_dims must be in [1, dim]")
+        _check_finite(spread=self.spread, noise=self.noise)
         if not self.spread > self.noise > 0:
             raise ValueError("need spread > noise > 0")
         _check_seed(self.seed)
@@ -70,6 +79,7 @@ class LowerBoundConfig:
             raise ValueError("k must be >= 2")
         if self.n < self.k or self.n % self.k != 0:
             raise ValueError("n must be a positive multiple of k")
+        _check_finite(spread=self.spread, noise=self.noise)
         if not self.spread > self.noise > 0:
             raise ValueError("need spread > noise > 0")
 
@@ -90,6 +100,7 @@ class RandomConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        _check_finite(spread=self.spread)
         if self.spread <= 0:
             raise ValueError("spread must be positive")
         _check_seed(self.seed)

@@ -8,19 +8,19 @@ the matrix's projection onto a Gaussian sketch of its column space; a
 sketch as wide as the matrix's smaller side spans the whole column space,
 so the result is then exact up to roundoff.
 
-Every operation is pure with respect to its inputs and Projector values are
-immutable once built, so results can move freely between threads.
+The decompositions return the subspace itself: a read-only (cols, rank)
+array of orthonormal right singular vectors. Every operation is pure with
+respect to its inputs, so results can move freely between threads. The
+number of power iterations is fixed at ``DEFAULT_POWER_ITERATIONS``.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERATIONS = 2
-
-#: Singular values below this fraction of the largest one are clamped to 0.
-_SIGMA_CLIP = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -41,29 +41,14 @@ class SvdTruncation:
 
     rank: int
     oversample: int = DEFAULT_OVERSAMPLE
-    power_iterations: int = DEFAULT_POWER_ITERATIONS
     seed: int = 0
+    power_iterations: ClassVar[int] = DEFAULT_POWER_ITERATIONS
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.oversample < 0:
             raise ValueError("oversample must be >= 0")
-        if self.power_iterations < 0:
-            raise ValueError("power_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Rank-l best-fit subspace: orthonormal right singular vectors plus
-    the retained singular values (nonincreasing)."""
-
-    vectors: np.ndarray         # (d, rank), orthonormal columns
-    singular_values: np.ndarray  # (rank,)
-
-    def __post_init__(self):
-        self.vectors.setflags(write=False)
-        self.singular_values.setflags(write=False)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -77,19 +62,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clip_small(sigma: np.ndarray) -> np.ndarray:
-    if sigma.size and sigma[0] > 0.0:
-        sigma[sigma < _SIGMA_CLIP * sigma[0]] = 0.0
-    return sigma
-
-
-def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
-    """Approximate top-``rank`` Projector via Gaussian sketching.
+def randomized_truncated_svd(a, trunc: SvdTruncation) -> np.ndarray:
+    """Approximate top-``rank`` right singular vectors via Gaussian sketching.
 
     Sketches the column space with r = rank + oversample Gaussian directions
-    (with power iterations for spectral-gap sharpening) into an orthonormal
-    Q, then takes the dense SVD of the small r-by-cols matrix Q^T A. Fully
-    reproducible for a fixed seed.
+    (sharpened by ``DEFAULT_POWER_ITERATIONS`` power iterations) into an
+    orthonormal Q, then takes the dense SVD of the small r-by-cols matrix
+    Q^T A. Returns the read-only (cols, rank) basis V, each column's first
+    non-negligible component nonnegative. Fully reproducible for a fixed
+    seed.
     """
     mat = as_matrix(a)
     rows, cols = mat.shape
@@ -106,37 +87,40 @@ def randomized_truncated_svd(a, trunc: SvdTruncation) -> Projector:
     for _ in range(trunc.power_iterations):
         z, _ = np.linalg.qr(mat.T @ q)
         q, _ = np.linalg.qr(mat @ z)
-    _, sigma, vt = np.linalg.svd(q.T @ mat, full_matrices=False)
-    return Projector(_fix_signs(vt[:ell].T), _clip_small(sigma[:ell]))
+    _, _, vt = np.linalg.svd(q.T @ mat, full_matrices=False)
+    v = _fix_signs(vt[:ell].T)
+    v.setflags(write=False)
+    return v
 
 
-def project(a, projector: Projector, basis: np.ndarray) -> np.ndarray:
-    """Coordinates of the rows of ``a``, projected onto the subspace, in
-    ``basis``: a (d, m) matrix with orthonormal columns whose span contains
-    the subspace. The result is (A V)(V^T Q) = (A V V^T) Q, computed without
-    forming the d-dimensional projected rows.
+def project(a, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of the rows of ``a``, projected onto the span of ``v``
+    (a (d, rank) basis as the decompositions return it), in ``basis``: a
+    (d, m) matrix with orthonormal columns whose span contains ``v``'s. The
+    result is (A V)(V^T Q) = (A V V^T) Q, computed without forming the
+    d-dimensional projected rows.
     """
     mat = as_matrix(a)
-    v = projector.vectors
     if mat.shape[1] != v.shape[0]:
         raise ValueError(
-            f"matrix has {mat.shape[1]} columns but the projector expects {v.shape[0]}"
+            f"matrix has {mat.shape[1]} columns but the subspace expects {v.shape[0]}"
         )
     if basis.shape[0] != v.shape[0]:
         raise ValueError(
-            f"basis has {basis.shape[0]} rows but the projector expects {v.shape[0]}"
+            f"basis has {basis.shape[0]} rows but the subspace expects {v.shape[0]}"
         )
     return (mat @ v) @ (v.T @ basis)
 
 
-def weighted_best_fit(points, weights, trunc: SvdTruncation) -> Projector:
+def weighted_best_fit(points, weights, trunc: SvdTruncation) -> np.ndarray:
     """Best-fit subspace of the multiset where row i appears ``weights[i]``
     times, computed without materializing the duplicates.
 
     Scaling row i by sqrt(w_i) preserves every right singular vector of the
-    duplicated matrix, so the decomposition runs on the scaled matrix. The
-    caller's points and weights are untouched; project the original
-    (unscaled) rows with the result.
+    duplicated matrix, so the decomposition runs on the scaled matrix and
+    returns its read-only (cols, rank) basis, as ``randomized_truncated_svd``
+    does. The caller's points and weights are untouched; project the
+    original (unscaled) rows with the result.
     """
     mat = as_matrix(points)
     w = np.asarray(weights)

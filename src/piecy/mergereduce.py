@@ -6,7 +6,7 @@ engine's weighted coreset is extracted, dimension-reduced again with the
 weight-aware decomposition, and fed to the level-1 engine; the same rule
 repeats up the tree, so each level shrinks the point count by a factor of
 ``num_pieces``. Only one engine per level is live and at most one
-projector exists at any time.
+subspace basis exists at any time.
 
 Every block, stream piece or flushed summary, goes in through
 ``SpanEngine.feed``, the same projected-block feed ``run_piecy`` uses, so a
@@ -16,7 +16,7 @@ same ``PipelineStats`` record, whose flush schedule and live-engine peak
 only the tree fills in.
 
 Each level's engine keeps its points in span coordinates (``SpanEngine``):
-it works in an orthonormal basis of the span of the projector bases it has
+it works in an orthonormal basis of the span of the subspace bases it has
 received, and its summary is mapped back to the ambient dimension once, when
 it is extracted for the next level's reduction. An engine receives at most
 ``num_pieces`` batches of rank ``svd_dim`` before it is flushed, so the bound

@@ -4,15 +4,15 @@
 ``run_piecy`` buffers the stream into pieces, reduces each piece's
 intrinsic dimension by projecting onto its randomized best-fit subspace,
 and feeds the projected points into the same kind of engine. Both consume
-the stream exactly once and hold at most one piece, one projector and one
-engine at a time.
+the stream exactly once and hold at most one piece, one subspace basis and
+one engine at a time.
 
 ``SpanEngine.feed`` is the one place that decides whether a block goes in
 projected or raw and how it is decomposed; ``run_piecy`` and every level of
 the merge-and-reduce tree (``mergereduce``) feed their blocks through it,
 configured by one ``PiecyConfig`` and counted in one ``PipelineStats``.
 Every engine behind a ``SpanEngine`` runs in span coordinates: the
-coordinates of an orthonormal basis of the span of the projector bases and
+coordinates of an orthonormal basis of the span of the subspace bases and
 raw blocks it has received, at most min(d, blocks * svd_dim) dimensions, and
 the extracted coreset is mapped back to the ambient dimension once.
 """
@@ -112,7 +112,7 @@ class SpanEngine:
 
     Both projected pipelines insert every block through ``feed``, either
     projected onto the block's best-fit subspace or raw, so the points lie
-    in the span of the projector bases and raw blocks received so far: at
+    in the span of the subspace bases and raw blocks received so far: at
     most min(d, batches * rank) dimensions. The engine's decisions depend
     only on inner products and distances between points, references and
     linear sums, all inside that span, so it runs in the coordinates of an
@@ -163,10 +163,10 @@ class SpanEngine:
             trunc = SvdTruncation(ell, oversample, seed=seed)
             t0 = time.perf_counter()
             if weights is None:
-                projector = randomized_truncated_svd(block, trunc)
+                v = randomized_truncated_svd(block, trunc)
             else:
-                projector = weighted_best_fit(block, weights, trunc)
-            coords = project(block, projector, self.cover(projector.vectors))
+                v = weighted_best_fit(block, weights, trunc)
+            coords = project(block, v, self.cover(v))
             stats.svd_seconds += time.perf_counter() - t0
             stats.svd_calls += 1
         engine = self.engine

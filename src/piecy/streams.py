@@ -2,9 +2,9 @@
 
 Two formats are supported:
 
-* ``csv``  — one point per line, comma-separated decimal fields (no ``_``
-  digit separators). The weighted variant puts an integer weight in the
-  leading column.
+* ``csv``  — one point per line, comma-separated finite decimal fields (no
+  ``_`` digit separators, ``nan`` or ``inf``). The weighted variant puts an
+  integer weight in the leading column.
 * ``bin``  — magic ``SCPT``, little-endian u32 version (currently 1),
   little-endian u32 dimension, then one record per point: d little-endian
   float64 coordinates. The weighted variant prefixes each record with a
@@ -209,6 +209,8 @@ def _read_csv(path, weighted: bool):
                     coords = np.array([float(f) for f in fields])
             except (ValueError, IndexError) as exc:
                 raise StreamFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not np.isfinite(coords).all():  # float reads nan, inf and 1e400
+                raise StreamFormatError(f"{path}: line {lineno}: non-finite coordinate")
             if dim is None:
                 dim = coords.shape[0]
                 if dim < 1:

@@ -17,13 +17,13 @@ roundoff.
 
 import numpy as np
 
-from piecy.linalg import Projector, SvdTruncation
+from piecy.linalg import SvdTruncation
 
 
-def exact_truncated_svd(a, rank: int) -> Projector:
-    """Top-``rank`` right singular vectors and values of one thin SVD."""
-    _, sigma, vt = np.linalg.svd(np.asarray(a, dtype=np.float64), full_matrices=False)
-    return Projector(vt[:rank].T, sigma[:rank])
+def exact_truncated_svd(a, rank: int) -> np.ndarray:
+    """Top-``rank`` right singular vectors of one thin SVD, as (cols, rank)."""
+    _, _, vt = np.linalg.svd(np.asarray(a, dtype=np.float64), full_matrices=False)
+    return vt[:rank].T
 
 
 def spectrum(a, count: int) -> np.ndarray:
@@ -31,16 +31,15 @@ def spectrum(a, count: int) -> np.ndarray:
     return np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[:count]
 
 
-def ambient_projection(a, projector: Projector) -> np.ndarray:
-    """Rows of ``a`` projected onto the subspace, in the ambient dimension:
-    A V V^T."""
-    v = projector.vectors
+def ambient_projection(a, v: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` projected onto the span of ``v``'s orthonormal columns,
+    in the ambient dimension: A V V^T."""
     return (np.asarray(a, dtype=np.float64) @ v) @ v.T
 
 
-def reconstruction_error(a, projector: Projector) -> float:
-    """Squared Frobenius norm of A minus its projection."""
-    resid = np.asarray(a, dtype=np.float64) - ambient_projection(a, projector)
+def reconstruction_error(a, v: np.ndarray) -> float:
+    """Squared Frobenius norm of A minus its projection onto ``v``'s span."""
+    resid = np.asarray(a, dtype=np.float64) - ambient_projection(a, v)
     return float(np.einsum("ij,ij->", resid, resid))
 
 

@@ -90,6 +90,25 @@ class TestGeneratorMode:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", [(), ("--algo", "piecy", "--k", "2")],
+                             ids=["generator", "run"])
+    @pytest.mark.parametrize("family, name", [
+        (("random", "--n", "50", "--spread", "nan"), "spread"),
+        (("random", "--n", "50", "--spread", "inf"), "spread"),
+        (("swn", "--clusters", "2", "--y", "3", "--d", "4", "--x", "1", "--spread", "inf"),
+         "spread"),
+        (("lb", "--k", "2", "--n", "4", "--spread", "inf", "--noise", "1"), "spread"),
+        (("lb", "--k", "2", "--n", "4", "--noise=-inf"), "noise"),
+    ], ids=["random-nan", "random-inf", "swn-inf", "lb-inf", "lb-noise"])
+    def test_non_finite_range_is_rejected_before_writing(self, tmp_path, capsys, algo,
+                                                         family, name):
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(capsys, *algo, "--gen", *family, "--out", str(out))
+        assert code == 2
+        assert f"{name} must be finite" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestRunMode:
     def gen_file(self, tmp_path, capsys, seed=1):
@@ -238,6 +257,15 @@ class TestErrors:
                                "--coreset-size", "5", "--input", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_finite_csv_field_is_reported_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n3.0,1e400\n")
+        code, stdout, err = run_cli(capsys, "--algo", "bico", "--k", "1",
+                                    "--coreset-size", "5", "--input", str(path))
+        assert code == 2
+        assert "line 2: non-finite coordinate" in err
+        assert stdout == ""
 
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "--algo", "bico", "--k", "1")

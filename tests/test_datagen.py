@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import collect, spectrum
 from piecy.datagen import (LowerBoundConfig, RandomConfig, SwnConfig,
                            lower_bound, random_cube, structured_with_noise)
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
 class TestStructuredWithNoise:
@@ -42,6 +46,11 @@ class TestStructuredWithNoise:
             with pytest.raises(ValueError, match="seed"):
                 SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
                           seed=seed)
+        for name in ("spread", "noise"):
+            for value in NON_FINITE:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SwnConfig(clusters=2, points_per_cluster=3, dim=4, active_dims=2,
+                              **{name: value})
 
     def test_spectrum_shape(self):
         # head of large values, slow middle decline, steeper drop near the
@@ -104,6 +113,10 @@ class TestLowerBound:
             LowerBoundConfig(k=1, n=10)
         with pytest.raises(ValueError):
             LowerBoundConfig(k=3, n=10)
+        for name in ("spread", "noise"):
+            for value in NON_FINITE:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    LowerBoundConfig(k=2, n=4, **{name: value})
 
 
 class TestRandomCube:
@@ -126,6 +139,9 @@ class TestRandomCube:
         for seed in (-1, 2**128):
             with pytest.raises(ValueError, match="seed"):
                 RandomConfig(n=3, seed=seed)
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match="spread must be finite"):
+                RandomConfig(n=3, spread=value)
         assert len(collect(random_cube(RandomConfig(n=3, seed=2**128 - 1)))) == 3
 
     def test_spectrum_slightly_decreasing_no_knee(self):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import (ambient_projection, exact_truncated_svd, full_sketch, jacobi_eigh,
                      principal_angles, reconstruction_error, spectrum)
-from piecy.linalg import (Projector, SvdTruncation, _fix_signs, project,
-                          randomized_truncated_svd, weighted_best_fit)
+from piecy.linalg import (SvdTruncation, _fix_signs, project, randomized_truncated_svd,
+                          weighted_best_fit)
 
 
 def random_orthonormal(rng, dim, cols):
@@ -17,6 +17,12 @@ def random_orthonormal(rng, dim, cols):
 def full_svd(a, rank, seed=0):
     """The library's randomized SVD with a sketch spanning the column space."""
     return randomized_truncated_svd(a, full_sketch(a, rank, seed))
+
+
+def column_norms(a, v):
+    """||A v_i|| per column of the basis: the singular values when the
+    columns are right singular vectors of A."""
+    return np.linalg.norm(np.asarray(a, dtype=np.float64) @ v, axis=0)
 
 
 def column_loop_fix_signs(vectors):
@@ -56,11 +62,11 @@ class TestFixSigns:
 class TestExactTruncatedSvd:
     def test_diagonal_matrix(self):
         a = np.diag([3.0, 2.0, 1.0])
-        proj = full_svd(a, 2)
-        assert np.allclose(proj.singular_values, [3.0, 2.0], atol=1e-12)
+        v = full_svd(a, 2)
+        assert np.allclose(column_norms(a, v), [3.0, 2.0], atol=1e-12)
         # sign convention makes these exactly the standard basis vectors
-        assert np.allclose(proj.vectors[:, 0], [1, 0, 0], atol=1e-12)
-        assert np.allclose(proj.vectors[:, 1], [0, 1, 0], atol=1e-12)
+        assert np.allclose(v[:, 0], [1, 0, 0], atol=1e-12)
+        assert np.allclose(v[:, 1], [0, 1, 0], atol=1e-12)
 
     def test_rank_one(self):
         rng = np.random.default_rng(3)
@@ -68,40 +74,43 @@ class TestExactTruncatedSvd:
         u /= np.linalg.norm(u)
         v = rng.normal(size=5)
         v /= np.linalg.norm(v)
-        proj = full_svd(np.outer(u, v), 1)
-        assert proj.singular_values[0] == pytest.approx(1.0, abs=1e-10)
-        assert abs(float(proj.vectors[:, 0] @ v)) == pytest.approx(1.0, abs=1e-10)
+        a = np.outer(u, v)
+        basis = full_svd(a, 1)
+        assert column_norms(a, basis)[0] == pytest.approx(1.0, abs=1e-10)
+        assert abs(float(basis[:, 0] @ v)) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(20, 10))
-        proj = full_svd(a, 3)
+        v = full_svd(a, 3)
         gram_eigs = jacobi_eigh(a.T @ a)
         expected = np.sqrt(np.clip(gram_eigs[:3], 0.0, None))
-        assert np.allclose(proj.singular_values, expected, rtol=1e-8)
+        assert np.allclose(column_norms(a, v), expected, rtol=1e-8)
 
     def test_wide_matrix_uses_small_gram_side(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(6, 40))
-        proj = full_svd(a, 5)
+        v = full_svd(a, 5)
         ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(proj.singular_values, ref[:5], rtol=1e-9)
-        gram = proj.vectors.T @ proj.vectors
+        assert np.allclose(column_norms(a, v), ref[:5], rtol=1e-9)
+        gram = v.T @ v
         assert np.allclose(gram, np.eye(5), atol=1e-8)
 
     def test_rank_beyond_matrix_rank_pads_with_zeros(self):
         rng = np.random.default_rng(13)
         a = np.outer(rng.normal(size=4), rng.normal(size=9))
-        proj = full_svd(a, 3)
-        assert proj.singular_values[0] > 0
-        assert np.all(proj.singular_values[1:] == 0.0)
-        gram = proj.vectors.T @ proj.vectors
+        v = full_svd(a, 3)
+        norms = column_norms(a, v)
+        assert norms[0] > 0
+        assert np.all(norms[1:] <= 1e-12 * norms[0])
+        gram = v.T @ v
         assert np.allclose(gram, np.eye(3), atol=1e-8)
 
     def test_zero_matrix(self):
-        proj = full_svd(np.zeros((4, 6)), 2)
-        assert np.all(proj.singular_values == 0.0)
-        assert np.allclose(proj.vectors.T @ proj.vectors, np.eye(2), atol=1e-12)
+        a = np.zeros((4, 6))
+        v = full_svd(a, 2)
+        assert np.all(a @ v == 0.0)
+        assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -124,7 +133,7 @@ class TestExactTruncatedSvd:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
         for rank in range(1, min(rows, cols) + 1):
-            got = full_svd(a, rank, seed).singular_values
+            got = column_norms(a, full_svd(a, rank, seed))
             want = spectrum(a, rank)
             assert np.abs(got - want).max() <= 1e-10 * want[0]
 
@@ -138,10 +147,10 @@ class TestRandomizedTruncatedSvd:
         assert reconstruction_error(a, proj) <= 1e-8 * norm_sq
 
     def test_zero_matrix(self):
-        proj = randomized_truncated_svd(np.zeros((30, 8)),
-                                        SvdTruncation(2, oversample=5, seed=1))
-        assert np.all(proj.singular_values == 0.0)
-        assert reconstruction_error(np.zeros((30, 8)), proj) == 0.0
+        a = np.zeros((30, 8))
+        v = randomized_truncated_svd(a, SvdTruncation(2, oversample=5, seed=1))
+        assert np.all(a @ v == 0.0)
+        assert reconstruction_error(a, v) == 0.0
 
     def test_close_to_exact_on_noisy_low_rank(self):
         rng = np.random.default_rng(17)
@@ -156,18 +165,17 @@ class TestRandomizedTruncatedSvd:
     def test_seed_determinism_bit_identical(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(40, 15))
-        t = SvdTruncation(3, oversample=4, power_iterations=1, seed=77)
+        t = SvdTruncation(3, oversample=4, seed=77)
         p1 = randomized_truncated_svd(a, t)
         p2 = randomized_truncated_svd(a, t)
-        assert np.array_equal(p1.vectors, p2.vectors)
-        assert np.array_equal(p1.singular_values, p2.singular_values)
+        assert np.array_equal(p1, p2)
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(29)
         a = rng.normal(size=(40, 15))
         p1 = randomized_truncated_svd(a, SvdTruncation(3, seed=1))
         p2 = randomized_truncated_svd(a, SvdTruncation(3, seed=2))
-        assert not np.array_equal(p1.vectors, p2.vectors)
+        assert not np.array_equal(p1, p2)
 
     def test_two_sided_path_on_tall_input(self):
         # a tall input (600 rows, sketch of 5) still recovers an exact rank-3 matrix
@@ -187,8 +195,7 @@ class TestProject:
         rng = np.random.default_rng(37)
         a = rng.normal(size=(9, 6))
         basis = random_orthonormal(rng, 6, 6)
-        proj = Projector(basis, np.ones(6))
-        assert np.allclose(project(a, proj, np.eye(6)), a, atol=1e-10)
+        assert np.allclose(project(a, basis, np.eye(6)), a, atol=1e-10)
 
     def test_diagonal_top_two(self):
         a = np.diag([3.0, 2.0, 1.0])
@@ -214,7 +221,7 @@ class TestProject:
         rng = np.random.default_rng(42)
         a = rng.normal(size=(9, 7))
         proj = full_svd(a, 2)
-        basis, _ = np.linalg.qr(np.hstack([proj.vectors, rng.normal(size=(7, 3))]))
+        basis, _ = np.linalg.qr(np.hstack([proj, rng.normal(size=(7, 3))]))
         coords = project(a, proj, basis)
         assert coords.shape == (9, 5)
         assert np.allclose(coords, ambient_projection(a, proj) @ basis, rtol=0, atol=1e-12)
@@ -227,7 +234,7 @@ class TestWeightedBestFit:
         a = rng.normal(size=(12, 6))
         w = weighted_best_fit(a, np.ones(12, dtype=int), full_sketch(a, 3, seed=3))
         u = exact_truncated_svd(a, 3)
-        assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
+        assert principal_angles(w, u).max() <= 1e-8
 
     def test_matches_explicit_duplication(self):
         rng = np.random.default_rng(47)
@@ -236,14 +243,15 @@ class TestWeightedBestFit:
         dup = np.repeat(a, weights, axis=0)
         w = weighted_best_fit(a, weights, full_sketch(a, 2))
         u = exact_truncated_svd(dup, 2)
-        assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
-        assert np.allclose(w.singular_values, u.singular_values, rtol=1e-9)
+        assert principal_angles(w, u).max() <= 1e-8
+        scaled = a * np.sqrt(weights)[:, None]
+        assert np.allclose(column_norms(scaled, w), spectrum(dup, 2), rtol=1e-9)
 
     def test_single_row_spans_that_row(self):
         row = np.array([[3.0, 0.0, 4.0]])
         proj = weighted_best_fit(row, [5], full_sketch(row, 1))
         direction = row[0] / np.linalg.norm(row[0])
-        assert abs(float(proj.vectors[:, 0] @ direction)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(float(proj[:, 0] @ direction)) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_weights(self):
         a = np.eye(3)
@@ -278,15 +286,13 @@ class TestProjectorInvariants:
         cols = int(rng.integers(4, 12))
         rank = int(rng.integers(1, min(rows, cols) - 1)) if min(rows, cols) > 2 else 1
         a = rng.normal(size=(rows, cols))
-        for proj in (full_svd(a, rank, seed),
-                     randomized_truncated_svd(
-                         a, SvdTruncation(rank, oversample=min(3, min(rows, cols) - rank),
-                                          seed=seed))):
-            gram = proj.vectors.T @ proj.vectors
+        full = full_svd(a, rank, seed)
+        for v in (full, randomized_truncated_svd(
+                a, SvdTruncation(rank, oversample=min(3, min(rows, cols) - rank), seed=seed))):
+            gram = v.T @ v
             assert np.abs(gram - np.eye(rank)).max() <= 1e-8
-            sv = proj.singular_values
-            assert np.all(sv[:-1] >= sv[1:] - 1e-12)
-            assert np.all(sv >= 0.0)
+        norms = column_norms(a, full)
+        assert np.all(norms[:-1] >= norms[1:] - 1e-12)
 
     def test_error_monotone_in_rank(self):
         rng = np.random.default_rng(61)
@@ -305,9 +311,11 @@ class TestProjectorInvariants:
         weights = rng.integers(1, 6, size=rows)
         w = weighted_best_fit(a, weights, full_sketch(a, rank))
         u = exact_truncated_svd(np.repeat(a, weights, axis=0), rank)
-        assert principal_angles(w.vectors, u.vectors).max() <= 1e-8
+        assert principal_angles(w, u).max() <= 1e-8
 
     def test_projector_arrays_read_only(self):
-        proj = full_svd(np.eye(3), 2)
-        with pytest.raises(ValueError):
-            proj.vectors[0, 0] = 9.0
+        a = np.eye(3)
+        for v in (full_svd(a, 2), weighted_best_fit(a, [1, 2, 3], full_sketch(a, 2))):
+            assert v.shape == (3, 2) and v.dtype == np.float64
+            with pytest.raises(ValueError):
+                v[0, 0] = 9.0

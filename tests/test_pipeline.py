@@ -130,17 +130,17 @@ class TestPiecyStructure:
             run_piecy(iter(pts), 6, cfg)
 
     def test_peak_projectors_is_one(self, monkeypatch):
-        """Every projector ``SpanEngine.feed`` makes is dead by the time the
-        next decomposition starts, on piecy and on piecy-mr, so at most one
-        is ever alive."""
+        """Every subspace basis ``SpanEngine.feed`` decomposes is dead by the
+        time the next decomposition starts, on piecy and on piecy-mr, so at
+        most one is ever alive."""
         made = []
 
         def tracked(decompose):
             def call(*args):
-                assert all(ref() is None for _, ref in made), "a projector outlived its block"
-                projector = decompose(*args)
-                made.append((decompose.__name__, weakref.ref(projector)))
-                return projector
+                assert all(ref() is None for _, ref in made), "a basis outlived its block"
+                v = decompose(*args)
+                made.append((decompose.__name__, weakref.ref(v)))
+                return v
             return call
 
         for name in ("randomized_truncated_svd", "weighted_best_fit"):

@@ -11,8 +11,8 @@ import pytest
 
 from helpers import ambient_projection
 from piecy.coreset import BicoEngine
-from piecy.linalg import (DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERATIONS, SvdTruncation,
-                          randomized_truncated_svd, weighted_best_fit)
+from piecy.linalg import (DEFAULT_OVERSAMPLE, SvdTruncation, randomized_truncated_svd,
+                          weighted_best_fit)
 from piecy.mergereduce import MrConfig, run_piecy_mr
 from piecy.pipeline import (PiecyConfig, PipelineStats, SpanEngine, iter_pieces, run_piecy,
                             span_complement)
@@ -32,8 +32,7 @@ def reference_piecy(points, dim, cfg):
         block = piece
         if ell < dim and rows >= ell:
             oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
-            trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS,
-                                  seed=(cfg.seed ^ index) & MASK64)
+            trunc = SvdTruncation(ell, oversample, seed=(cfg.seed ^ index) & MASK64)
             block = ambient_projection(piece, randomized_truncated_svd(piece, trunc))
         for i in range(rows):
             engine.insert(block[i])
@@ -50,7 +49,7 @@ def reference_piecy_mr(points, dim, cfg):
         if ell >= dim or rows < ell:
             return block
         oversample = min(DEFAULT_OVERSAMPLE, min(rows, dim) - ell)
-        trunc = SvdTruncation(ell, oversample, DEFAULT_POWER_ITERATIONS, seed=seed)
+        trunc = SvdTruncation(ell, oversample, seed=seed)
         if weights is None:
             weights = np.ones(rows, dtype=np.int64)
         return ambient_projection(block, weighted_best_fit(block, weights, trunc))

@@ -124,6 +124,26 @@ class TestCsv:
             with pytest.raises(StreamFormatError, match=match):
                 list(src)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("weighted, template, line", [
+        (True, "2,{},1.0\n3,4.0,2.0\n", 1),
+        (True, "3,4.0,2.0\n\n2,1.0,{}\n", 3),
+        (False, "{},1.0\n3.0,4.0\n", 1),
+        (False, "3.0,4.0\n1.0,{}\n", 2),
+    ], ids=["weighted-first", "weighted-later", "unweighted-first", "unweighted-later"])
+    def test_non_finite_coordinate_is_rejected_naming_its_line(self, tmp_path, weighted,
+                                                               template, line, field):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(template.format(field))
+        match = f"line {line}: non-finite coordinate"
+        if line == 1:  # the first record is read when the source opens
+            with pytest.raises(StreamFormatError, match=match):
+                PointSource(str(path), "csv", weighted=weighted)
+        else:
+            src = PointSource(str(path), "csv", weighted=weighted)
+            with pytest.raises(StreamFormatError, match=match):
+                list(src)
+
     def test_nonpositive_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n")
