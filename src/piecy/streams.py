@@ -7,8 +7,8 @@ Two formats are supported:
   integer weight in the leading column.
 * ``bin``  — magic ``SCPT``, little-endian u32 version (currently 1),
   little-endian u32 dimension, then one record per point: d little-endian
-  float64 coordinates. The weighted variant prefixes each record with a
-  little-endian u64 weight.
+  finite float64 coordinates. The weighted variant prefixes each record
+  with a little-endian u64 weight of at least 1.
 
 Binary round-trips are bitwise exact. Readers stream in bounded memory and
 report the first malformed position (1-based line for csv, byte offset for
@@ -247,16 +247,17 @@ def _read_bin(path, weighted: bool):
                     f"{offset + len(raw) - (len(raw) % rec_size)}")
             if weighted:
                 block = np.frombuffer(raw, dtype=rec)
-                coords = block["x"]
-                ws = block["w"]
-                for i in range(block.shape[0]):
-                    weight = int(ws[i])
-                    if weight < 1:
-                        raise StreamFormatError(
-                            f"{path}: byte {offset + i * rec_size}: weight must be >= 1")
-                    yield coords[i], weight
+                coords, ws = block["x"], block["w"]
             else:
-                block = np.frombuffer(raw, dtype="<f8").reshape(-1, dim)
-                for i in range(block.shape[0]):
-                    yield block[i]
+                coords = np.frombuffer(raw, dtype="<f8").reshape(-1, dim)
+            finite = np.isfinite(coords).all(axis=1)
+            ok = finite & (ws >= 1) if weighted else finite
+            stop = len(ok) if ok.all() else int(ok.argmin())
+            if weighted:
+                yield from zip(coords[:stop], ws[:stop].tolist())
+            else:
+                yield from coords[:stop]
+            if stop < len(ok):
+                problem = "weight must be >= 1" if finite[stop] else "non-finite coordinate"
+                raise StreamFormatError(f"{path}: byte {offset + stop * rec_size}: {problem}")
             offset += len(raw)

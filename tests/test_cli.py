@@ -267,6 +267,17 @@ class TestErrors:
         assert "line 2: non-finite coordinate" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("algo", ["bico", "piecy"])
+    def test_non_finite_bin_coordinate_is_reported_with_its_byte(self, tmp_path, capsys,
+                                                                 algo):
+        path = tmp_path / "bad.bin"
+        streams.write_bin(path, [np.array([1.0, 2.0]), np.array([3.0, np.inf])], 2)
+        code, stdout, err = run_cli(capsys, "--algo", algo, "--k", "1",
+                                    "--coreset-size", "5", "--input", str(path))
+        assert code == 2
+        assert "byte 28: non-finite coordinate" in err  # 12-byte header, 16-byte records
+        assert stdout == ""
+
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "--algo", "bico", "--k", "1")
         assert code == 2

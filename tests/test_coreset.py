@@ -212,8 +212,8 @@ class TestEngineBasics:
             assert np.isfinite(cf.linear_sum).all()
 
     def test_refilled_buffer_matches_fresh_copies(self):
-        # The engine's memos must follow the buffer's content, not the
-        # buffer object: refilling one array between inserts leaves the
+        # The engine's resume record must follow the buffer's content, not
+        # the buffer object: refilling one array between inserts leaves the
         # same features as inserting a fresh copy of every point.
         rng = np.random.default_rng(0)
         points = rng.normal(size=(300, 5))
@@ -427,6 +427,45 @@ class TestWeightedUnitEquivalence:
             for _ in range(w):
                 b.insert(np.array([v]))
         assert_same_features(a, b)
+
+
+class FromRootsEngine(BicoEngine):
+    """Reference: drops the resume record before every insert, so every
+    descent starts from the roots."""
+
+    def insert(self, point, weight: int = 1) -> None:
+        self._resume = None
+        super().insert(point, weight)
+
+
+class TestResumeRecord:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 3), extra=st.integers(1, 2), budget=st.integers(1, 30),
+           spare=st.integers(1, 8), grow_at=st.integers(0, 200),
+           stream=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 10),
+                                     st.integers(1, 3)), min_size=30, max_size=120))
+    def test_matches_descents_from_the_roots(self, dim, extra, budget, spare, grow_at,
+                                             stream):
+        # A small pool of locations, so a location repeats both back to back
+        # (a run of up to 3 inserts) and apart; half the pool has zero extra
+        # coordinates, so after the grow they repeat the padded early points.
+        rng = np.random.default_rng(budget * 10 + dim)
+        pool = rng.normal(scale=3.0, size=(budget + spare, dim + extra))
+        pool[::2, dim:] = 0.0
+        seq = [(loc, 1) for loc in range(budget + 1)]  # enough to build
+        seq += [(loc % len(pool), w) for loc, w, run in stream for _ in range(run)]
+        engine = BicoEngine(dim, budget)
+        reference = FromRootsEngine(dim, budget)
+        for i, (loc, w) in enumerate(seq):
+            if i == grow_at:
+                engine.grow(dim + extra)
+                reference.grow(dim + extra)
+            x = pool[loc, :engine.dim]
+            engine.insert(x, w)
+            reference.insert(x, w)
+        assert engine.total_weight == reference.total_weight
+        assert engine.threshold == reference.threshold
+        assert_identical_features(engine, reference)
 
 
 def radius_sq(threshold: float, level: int) -> float:

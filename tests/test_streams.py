@@ -182,6 +182,32 @@ class TestBin:
         with pytest.raises(StreamFormatError, match="byte 36: weight must be >= 1"):
             next(source)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("second_block", [False, True], ids=["first", "second-block"])
+    def test_non_finite_coordinate_names_byte_offset(self, tmp_path, value, weighted,
+                                                     second_block):
+        rec_size = 16 + 8 * weighted
+        bad = streams.block_rows(rec_size) + 3 if second_block else 0
+        n = bad + 5
+        fields = [("w", "<u8"), ("x", "<f8", (2,))] if weighted else [("x", "<f8", (2,))]
+        records = np.zeros(n, dtype=fields)
+        records["x"] = np.arange(2.0 * n).reshape(n, 2)
+        if weighted:
+            records["w"] = 1
+        records["x"][bad, 1] = value
+        path = tmp_path / "nonfinite.bin"
+        write_bin(path, [], 2, weighted=weighted)
+        with open(path, "ab") as fh:
+            fh.write(records.tobytes())
+        source = iter(PointSource(str(path), "bin", weighted=weighted))
+        for _ in range(bad):  # the records before the bad one still stream out
+            next(source)
+        # 12-byte header, then rec_size-byte records
+        with pytest.raises(StreamFormatError,
+                           match=f"byte {12 + bad * rec_size}: non-finite coordinate$"):
+            next(source)
+
     def test_empty_file_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
